@@ -317,70 +317,41 @@ let run_benchmarks ~seed ~json_path () =
   | None -> ()
   | Some path ->
     (* machine-readable per-benchmark ns/op for CI artifacts *)
+    let float = function Some f -> Util.Json.Float f | None -> Null in
     let item (name, ns, r2) =
-      let ns =
-        match ns with Some e -> Printf.sprintf "%.1f" e | None -> "null"
-      in
-      let r2 =
-        match r2 with Some r -> Printf.sprintf "%.4f" r | None -> "null"
-      in
-      Printf.sprintf {|{"name":%S,"ns_per_op":%s,"r_square":%s}|} name ns r2
+      Util.Json.Obj [ ("name", String name); ("ns_per_op", float ns); ("r_square", float r2) ]
     in
     Out_channel.with_open_text path (fun oc ->
         Out_channel.output_string oc
-          ("[" ^ String.concat "," (List.map item rows) ^ "]\n"));
+          (Util.Json.to_string (List (List.map item rows)) ^ "\n"));
     Printf.printf "benchmark JSON written to %s\n\n" path);
   rows
 
 (* ------------------------------------------------------------------ *)
 (* Baseline regression check *)
 
-(* Parser for the JSON this harness itself writes (a flat array of
-   non-nested objects) — the toolchain has no JSON library, so the
-   scanner leans on that shape rather than parsing general JSON. *)
+(* The baseline is a file this harness wrote with --json: an array of
+   {"name", "ns_per_op", ...} rows. *)
 let parse_baseline path =
+  let fail msg =
+    Printf.eprintf "cannot read baseline %s: %s\n" path msg;
+    exit 2
+  in
   let text =
     try In_channel.with_open_text path In_channel.input_all
-    with Sys_error e ->
-      prerr_endline ("cannot read baseline: " ^ e);
-      exit 2
+    with Sys_error e -> fail e
   in
-  let find_sub s pat from =
-    let n = String.length s and m = String.length pat in
-    let rec go i =
-      if i + m > n then None
-      else if String.sub s i m = pat then Some (i + m)
-      else go (i + 1)
-    in
-    go from
+  let row item =
+    match Util.Json.(member "name" item, member "ns_per_op" item) with
+    | Some (String name), Some (Float ns) -> (name, Some ns)
+    | Some (String name), Some (Int ns) -> (name, Some (float_of_int ns))
+    | Some (String name), _ -> (name, None)
+    | _ -> fail "row without a name"
   in
-  let items = ref [] in
-  let pos = ref 0 in
-  let continue = ref true in
-  while !continue do
-    match find_sub text "{\"name\":\"" !pos with
-    | None -> continue := false
-    | Some name_start -> (
-      match String.index_from_opt text name_start '"' with
-      | None -> continue := false
-      | Some name_end -> (
-        let name = String.sub text name_start (name_end - name_start) in
-        match find_sub text "\"ns_per_op\":" name_end with
-        | None -> continue := false
-        | Some v_start ->
-          let v_end = ref v_start in
-          while
-            !v_end < String.length text
-            && text.[!v_end] <> ','
-            && text.[!v_end] <> '}'
-          do
-            incr v_end
-          done;
-          let v = String.trim (String.sub text v_start (!v_end - v_start)) in
-          items := (name, float_of_string_opt v) :: !items;
-          pos := !v_end))
-  done;
-  List.rev !items
+  match Util.Json.of_string text with
+  | Ok (List items) -> List.map row items
+  | Ok _ -> fail "expected an array of rows"
+  | Error e -> fail e
 
 let regression_threshold = 1.25 (* >25% slower than baseline fails *)
 

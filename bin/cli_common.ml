@@ -116,3 +116,12 @@ let category_mask_of_names spec =
         (String.split_on_char ',' s)
     in
     Obs.Probe.mask_of cats
+
+(* Every JSON and SARIF document leaves the CLI here, one per line. *)
+let json_line v = Util.Json.to_string v ^ "\n"
+let print_json v = print_string (json_line v)
+
+(* --format of the subcommands whose one alternative output is SARIF *)
+let sarif_only = function
+  | None | Some "sarif" -> ()
+  | Some f -> bad_invocation "unknown format %S (expected: sarif)" f

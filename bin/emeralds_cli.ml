@@ -173,9 +173,7 @@ let analyze_cmd =
              declared WCETs and lint terms).")
   in
   let run preset_name cost_name budget_bytes json format rta =
-    (match format with
-    | None | Some "sarif" -> ()
-    | Some f -> bad_invocation "unknown format %S (expected: sarif)" f);
+    sarif_only format;
     let cost =
       match String.lowercase_ascii cost_name with
       | "m68040" -> Sim.Cost.m68040
@@ -201,18 +199,8 @@ let analyze_cmd =
         if format = Some "sarif" then
           sarif_results :=
             !sarif_results
-            @ List.map
-                (fun (sr : Lint.Sarif.result) ->
-                  {
-                    sr with
-                    Lint.Sarif.logical =
-                      Some
-                        (s.name
-                        ^ match sr.logical with None -> "" | Some l -> ", " ^ l
-                        );
-                  })
-                (Lint.Sarif.of_diags r.diags)
-        else if json then print_endline (Absint.Report.to_json r)
+            @ Lint.Sarif.(in_scenario s.name (of_diags r.diags))
+        else if json then print_json (Absint.Report.to_json r)
         else begin
           Printf.printf "==== %s ====\n" s.name;
           print_string (Absint.Report.render r);
@@ -272,8 +260,7 @@ let analyze_cmd =
         end)
       scenarios;
     if format = Some "sarif" then
-      print_endline
-        (Lint.Sarif.render ~tool_name:"emeralds-absint" !sarif_results);
+      print_json (Lint.Sarif.log [ ("emeralds-absint", !sarif_results) ]);
     if !had_errors then exit 1
   in
   Cmd.v
@@ -407,11 +394,7 @@ let lint_cmd =
              blocking terms.")
   in
   let run preset_name json format blocking =
-    (match format with
-    | None | Some "sarif" -> ()
-    | Some f ->
-      Printf.eprintf "unknown format %S (expected: sarif)\n" f;
-      exit 2);
+    sarif_only format;
     let scenarios =
       match preset_name with
       | None -> Workload.Scenario.all ()
@@ -435,21 +418,12 @@ let lint_cmd =
         if Lint.Diag.errors diags > 0 then had_errors := true;
         if format = Some "sarif" then
           sarif_results :=
-            !sarif_results
-            @ List.map
-                (fun (r : Lint.Sarif.result) ->
-                  {
-                    r with
-                    Lint.Sarif.logical =
-                      Some
-                        (s.name
-                        ^ match r.logical with None -> "" | Some l -> ", " ^ l
-                        );
-                  })
-                (Lint.Sarif.of_diags diags)
+            !sarif_results @ Lint.Sarif.(in_scenario s.name (of_diags diags))
         else if json then
-          Printf.printf "{\"scenario\":%S,\"findings\":%s}\n" s.name
-            (Lint.Report.to_json diags)
+          print_json
+            (Util.Json.Obj
+               [ ("scenario", String s.name);
+                 ("findings", List (List.map Lint.Diag.to_json diags)) ])
         else begin
           Printf.printf "==== %s ====\n" s.name;
           print_string (Lint.Report.render diags);
@@ -457,8 +431,7 @@ let lint_cmd =
         end)
       scenarios;
     if format = Some "sarif" then
-      print_endline
-        (Lint.Sarif.render ~tool_name:"emeralds-lint" !sarif_results);
+      print_json (Lint.Sarif.log [ ("emeralds-lint", !sarif_results) ]);
     if !had_errors then exit 1
   in
   Cmd.v
@@ -568,11 +541,7 @@ let check_cmd =
   in
   let run preset_name sched horizon_ms max_states max_depth props_arg no_por
       read_span_us sporadic json format rta search_seed =
-    (match format with
-    | None | Some "sarif" -> ()
-    | Some f ->
-      Printf.eprintf "unknown format %S (expected: sarif)\n" f;
-      exit 2);
+    sarif_only format;
     let scenario =
       if preset_name = "deadlock-demo" then Workload.Scenario.seeded_deadlock ()
       else
@@ -659,30 +628,29 @@ let check_cmd =
             };
           ]
       in
-      print_endline (Lint.Sarif.render ~tool_name:"emeralds-mc" results)
+      print_json (Lint.Sarif.log [ ("emeralds-mc", results) ])
     end
     else if json then begin
-      let verdict_fields =
+      let open Util.Json in
+      let verdict =
         match r.verdict with
-        | `Ok -> {|"verdict":"ok"|}
+        | `Ok -> [ ("verdict", String "ok") ]
         | `Violation cex ->
-          Printf.sprintf
-            {|"verdict":"violation","prop":%S,"message":%S,"at_ns":%d,"choices":%d|}
-            cex.prop cex.message cex.at
-            (List.length cex.choices)
+          [ ("verdict", String "violation"); ("prop", String cex.prop);
+            ("message", String cex.message); ("at_ns", Int cex.at);
+            ("choices", Int (List.length cex.choices)) ]
       in
       let responses =
-        String.concat ","
-          (List.map
-             (fun (t : Mc.Machine.mtask) ->
-               Printf.sprintf {|%S:%d|} t.task_name r.max_response.(t.idx))
-             (Array.to_list m.tasks))
+        Array.to_list m.tasks
+        |> List.map (fun (t : Mc.Machine.mtask) -> (t.task_name, Int r.max_response.(t.idx)))
       in
-      Printf.printf
-        {|{"scenario":%S,%s,"expansions":%d,"distinct":%d,"revisits":%d,"por_skipped":%d,"truncated":%b,"jobs":%d,"max_response_ns":{%s}}|}
-        scenario.name verdict_fields r.expansions r.distinct r.revisits
-        r.por_skipped r.truncated r.jobs responses;
-      print_newline ()
+      print_json
+        (Obj
+           ((("scenario", String scenario.name) :: verdict)
+           @ [ ("expansions", Int r.expansions); ("distinct", Int r.distinct);
+               ("revisits", Int r.revisits); ("por_skipped", Int r.por_skipped);
+               ("truncated", Bool r.truncated); ("jobs", Int r.jobs);
+               ("max_response_ns", Obj responses) ]))
     end
     else begin
       Printf.printf
@@ -878,9 +846,7 @@ let inject_cmd =
   in
   let run preset_name plan_arg policy miss_policy shed_one_in mem_policy sched
       horizon_ms seed json format flightrec_path ring_bytes =
-    (match format with
-    | None | Some "sarif" -> ()
-    | Some f -> bad_invocation "unknown format %S (expected: sarif)" f);
+    sarif_only format;
     let scenario =
       match preset_name with
       | "overrun-demo" -> Workload.Scenario.overrun_demo ()
@@ -987,10 +953,9 @@ let inject_cmd =
     in
     let report = Fault.Report.run cfg in
     if format = Some "sarif" then
-      print_endline
-        (Lint.Sarif.render ~tool_name:"emeralds-inject"
-           (Fault.Report.to_sarif report))
-    else if json then print_endline (Fault.Report.to_json report)
+      print_json
+        (Lint.Sarif.log [ ("emeralds-inject", Fault.Report.to_sarif report) ])
+    else if json then print_json (Fault.Report.to_json report)
     else print_string (Fault.Report.render report);
     (match flightrec_path with
     | None -> ()
@@ -1011,7 +976,7 @@ let inject_cmd =
       | Some fr ->
         Out_channel.with_open_text path (fun oc ->
             Out_channel.output_string oc
-              (Obs.Export.perfetto (Obs.Flightrec.dump fr)));
+              (json_line (Obs.Export.perfetto (Obs.Flightrec.dump fr))));
         let window = List.length (Obs.Flightrec.dump fr) in
         (match Obs.Flightrec.triggered fr with
         | Some { at; entry } ->
@@ -1152,9 +1117,7 @@ let trace_cmd =
     let output =
       match format with
       | "perfetto" ->
-        Obs.Export.perfetto
-          ~blame:(Obs.Blame.of_taskset scenario.taskset)
-          window
+        json_line (Obs.Export.perfetto ~blame:(Obs.Blame.of_taskset scenario.taskset) window)
       | "csv" ->
         let buf = Buffer.create 1024 in
         Buffer.add_string buf "time_ns,kind,tid,detail\n";
@@ -1166,7 +1129,7 @@ let trace_cmd =
           window;
         Buffer.contents buf
       | "metrics" -> Obs.Export.prometheus metrics
-      | "json" -> Obs.Export.metrics_json metrics
+      | "json" -> json_line (Obs.Export.metrics_json metrics)
       | _ -> assert false
     in
     (match out with
@@ -1454,60 +1417,49 @@ let explain_cmd =
           verdicts;
         Buffer.contents buf
       | "json" ->
-        let buf = Buffer.create 2048 in
-        Printf.bprintf buf
-          "{\"scenario\":%S,\"sched\":%S,\"horizon_ms\":%d,\"seed\":%d,\n \
-           \"misses\":%d,\"overruns\":%d,\"kills\":%d,\
-           \"residual_violations\":%d,\n \"tasks\":["
-          preset_name
-          (Emeralds.Sched.spec_name sched)
-          horizon_ms seed misses overruns kills
-          (Obs.Blame.residual_violations blame);
-        List.iteri
-          (fun n (s : Obs.Blame.task_summary) ->
-            let i = s.s_rank in
-            let t =
-              Array.to_list tasks
-              |> List.find (fun (t : Model.Task.t) -> t.id = s.s_id)
-            in
-            if n > 0 then Buffer.add_char buf ',';
-            Printf.bprintf buf
-              "\n  {\"tid\":%d,\"rank\":%d,\"jobs\":%d,\"max_response\":%d,\
-               \"missed\":%b"
-              s.s_id s.s_rank s.s_jobs s.s_max_response
-              (s.s_max_response > t.deadline);
-            (match rta.(i) with
-            | Some r when rm_bounds && eligible.(i) ->
-              Printf.bprintf buf ",\"rta_bound\":%d" r
-            | _ -> ());
-            (match s.s_worst with
+        let open Util.Json in
+        let task (s : Obs.Blame.task_summary) =
+          let i = s.s_rank in
+          let t = Array.to_list tasks |> List.find (fun (t : Model.Task.t) -> t.id = s.s_id) in
+          let rta_bound =
+            match rta.(i) with
+            | Some r when rm_bounds && eligible.(i) -> [ ("rta_bound", Int r) ]
+            | _ -> []
+          in
+          let worst =
+            match s.s_worst with
             | Some bd ->
               let cause, amount = Obs.Blame.dominant bd in
-              Printf.bprintf buf
-                ",\"worst\":{\"job\":%d,\"response\":%d,\"exec\":%d,\
-                 \"backlog\":%d,\"blocking\":%d,\"overhead\":%d,\
-                 \"suspend\":%d,\"gap\":%d,\"residual\":%d,\
-                 \"interference\":["
-                bd.Obs.Blame.b_job bd.Obs.Blame.b_response bd.Obs.Blame.b_exec
-                bd.Obs.Blame.b_backlog
-                (Obs.Blame.blocking_total bd)
-                (Obs.Blame.overhead_total bd)
-                bd.Obs.Blame.b_suspend bd.Obs.Blame.b_gap
-                bd.Obs.Blame.b_residual;
-              List.iteri
-                (fun m (j, v) ->
-                  if m > 0 then Buffer.add_char buf ',';
-                  Printf.bprintf buf "{\"rank\":%d,\"ns\":%d}" j v)
-                bd.Obs.Blame.b_interference;
-              Printf.bprintf buf
-                "],\"dominant\":{\"cause\":%S,\"ns\":%d}}"
-                (Obs.Blame.cause_label cause)
-                amount
-            | None -> ());
-            Buffer.add_char buf '}')
-          summaries;
-        Buffer.add_string buf "\n ]}\n";
-        Buffer.contents buf
+              let interference (j, v) = Obj [ ("rank", Int j); ("ns", Int v) ] in
+              [ ( "worst",
+                  Obj
+                    [ ("job", Int bd.b_job); ("response", Int bd.b_response);
+                      ("exec", Int bd.b_exec); ("backlog", Int bd.b_backlog);
+                      ("blocking", Int (Obs.Blame.blocking_total bd));
+                      ("overhead", Int (Obs.Blame.overhead_total bd));
+                      ("suspend", Int bd.b_suspend); ("gap", Int bd.b_gap);
+                      ("residual", Int bd.b_residual);
+                      ("interference", List (List.map interference bd.b_interference));
+                      ( "dominant",
+                        Obj
+                          [ ("cause", String (Obs.Blame.cause_label cause));
+                            ("ns", Int amount) ] ) ] ) ]
+            | None -> []
+          in
+          Obj
+            ([ ("tid", Int s.s_id); ("rank", Int s.s_rank); ("jobs", Int s.s_jobs);
+               ("max_response", Int s.s_max_response);
+               ("missed", Bool (s.s_max_response > t.deadline)) ]
+            @ rta_bound @ worst)
+        in
+        json_line
+          (Obj
+             [ ("scenario", String preset_name);
+               ("sched", String (Emeralds.Sched.spec_name sched));
+               ("horizon_ms", Int horizon_ms); ("seed", Int seed); ("misses", Int misses);
+               ("overruns", Int overruns); ("kills", Int kills);
+               ("residual_violations", Int (Obs.Blame.residual_violations blame));
+               ("tasks", List (List.map task summaries)) ])
       | "sarif" ->
         let results = ref [] in
         let add rule_id level message logical =
@@ -1533,7 +1485,7 @@ let explain_cmd =
                  amount)
               (Printf.sprintf "%s, task %d" preset_name tid))
           verdicts;
-        Lint.Sarif.render ~tool_name:"emeralds-explain" (List.rev !results)
+        json_line (Lint.Sarif.log [ ("emeralds-explain", List.rev !results) ])
       | _ -> assert false
     in
     (match out with
@@ -1690,9 +1642,7 @@ let campaign_cmd =
   in
   let run count seed tasks target_u family oracles shrink ablate json format
       metrics =
-    (match format with
-    | None | Some "sarif" -> ()
-    | Some f -> bad_invocation "unknown format %S (expected: sarif)" f);
+    sarif_only format;
     if count <= 0 then bad_invocation "--count must be positive";
     let family =
       Option.map
@@ -1749,8 +1699,8 @@ let campaign_cmd =
           progress;
         }
     in
-    if format = Some "sarif" then print_endline (Campaign.Report.to_sarif s)
-    else if json then print_string (Campaign.Report.to_json s)
+    if format = Some "sarif" then print_json (Campaign.Report.to_sarif s)
+    else if json then print_json (Campaign.Report.to_json s)
     else print_string (Campaign.Report.render_text s);
     if Campaign.Driver.falsifications s > 0 then exit 1
   in
@@ -1805,9 +1755,7 @@ let fabric_cmd =
           ~doc:"Output format: sarif (SARIF 2.1.0).")
   in
   let run preset_name plan_spec horizon_ms seed json format =
-    (match format with
-    | None | Some "sarif" -> ()
-    | Some f -> bad_invocation "unknown format %S (expected: sarif)" f);
+    sarif_only format;
     if horizon_ms <= 0 then bad_invocation "--horizon must be positive";
     let ms = Model.Time.ms in
     let task ~id ~period_ms ~wcet_ms =
@@ -1868,10 +1816,9 @@ let fabric_cmd =
     Fabric.Cluster.run cluster ~until:horizon;
     let score = Fabric.Cluster.score cluster ~horizon in
     if format = Some "sarif" then
-      print_endline
-        (Lint.Sarif.render ~tool_name:"emeralds-fabric"
-           (Fault.Report.net_to_sarif score))
-    else if json then print_endline (Fault.Report.net_to_json score)
+      print_json
+        (Lint.Sarif.log [ ("emeralds-fabric", Fault.Report.net_to_sarif score) ])
+    else if json then print_json (Fault.Report.net_to_json score)
     else print_string (Fault.Report.render_net score);
     let fault_activity =
       Fabric.Cluster.crashes cluster <> []

@@ -422,59 +422,41 @@ let render t =
   Buffer.contents buf
 
 let to_json t =
-  let buf = Buffer.create 1024 in
-  let itv_json (itv : Itv.t) =
-    Printf.sprintf "{\"lo\":%d,\"hi\":%s}" itv.Itv.lo
-      (match itv.Itv.hi with
-      | Itv.Fin h -> string_of_int h
-      | Itv.Inf -> "null")
+  let open Util.Json in
+  let itv (i : Itv.t) =
+    Obj [ ("lo", Int i.lo); ("hi", match i.hi with Itv.Fin h -> Int h | Itv.Inf -> Null) ]
   in
-  Buffer.add_string buf
-    (Printf.sprintf "{\"scenario\":%S,\"cost\":%S,\"tasks\":[" t.scenario_name
-       t.cost_name);
-  Array.iteri
-    (fun i tb ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"name\":%S,\"rank\":%d,\"declared_wcet\":%d,\"exec\":%s,\
-            \"suspend\":%s,\"nesting\":%d,\"atomic\":%d}"
-           tb.task.Model.Task.name tb.rank tb.task.Model.Task.wcet
-           (itv_json tb.summary.exec)
-           (itv_json tb.summary.suspend)
-           tb.summary.nesting tb.summary.atomic))
-    t.tasks;
-  Buffer.add_string buf "],\"sems\":[";
-  List.iteri
-    (fun i sb ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"sem\":%d,\"ceiling\":%d,\"hold\":%s,\"lint_worst\":%d}"
-           sb.sem_id sb.ceiling (itv_json sb.hold) sb.lint_worst))
-    t.sems;
-  Buffer.add_string buf "],\"pools\":[";
-  List.iteri
-    (fun i pb ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"pool\":%d,\"capacity\":%d,\"block_bytes\":%d,\"peak\":%s}"
-           pb.pool_id pb.capacity pb.block_bytes (itv_json pb.peak)))
-    t.pools;
-  Buffer.add_string buf
-    (Printf.sprintf
-       "],\"latency_bound\":%d,\"footprint\":{\"threads\":%d,\
-        \"stack_bytes_per_thread\":%d,\"semaphores\":%d,\"condvars\":%d,\
-        \"mailboxes\":%d,\"state_messages\":%d,\"timers\":%d,\
-        \"code_bytes\":%d,\"ram_bytes\":%d,\"total_bytes\":%d,\
-        \"budget_bytes\":%d},\"diags\":%s}"
-       t.latency_bound t.config.Footprint.threads
-       t.config.Footprint.stack_bytes_per_thread
-       t.config.Footprint.semaphores t.config.Footprint.condvars
-       (List.length t.config.Footprint.mailboxes)
-       (List.length t.config.Footprint.state_messages)
-       t.config.Footprint.timers t.code_bytes t.ram_bytes t.total_bytes
-       t.budget_bytes
-       (Lint.Report.to_json t.diags));
-  Buffer.contents buf
+  let task tb =
+    Obj
+      [ ("name", String tb.task.Model.Task.name); ("rank", Int tb.rank);
+        ("declared_wcet", Int tb.task.Model.Task.wcet);
+        ("exec", itv tb.summary.exec); ("suspend", itv tb.summary.suspend);
+        ("nesting", Int tb.summary.nesting); ("atomic", Int tb.summary.atomic) ]
+  in
+  let sem sb =
+    Obj
+      [ ("sem", Int sb.sem_id); ("ceiling", Int sb.ceiling); ("hold", itv sb.hold);
+        ("lint_worst", Int sb.lint_worst) ]
+  in
+  let pool pb =
+    Obj
+      [ ("pool", Int pb.pool_id); ("capacity", Int pb.capacity);
+        ("block_bytes", Int pb.block_bytes); ("peak", itv pb.peak) ]
+  in
+  let fp = t.config in
+  Obj
+    [ ("scenario", String t.scenario_name); ("cost", String t.cost_name);
+      ("tasks", List (Array.to_list (Array.map task t.tasks)));
+      ("sems", List (List.map sem t.sems)); ("pools", List (List.map pool t.pools));
+      ("latency_bound", Int t.latency_bound);
+      ( "footprint",
+        Obj
+          [ ("threads", Int fp.Footprint.threads);
+            ("stack_bytes_per_thread", Int fp.stack_bytes_per_thread);
+            ("semaphores", Int fp.semaphores); ("condvars", Int fp.condvars);
+            ("mailboxes", Int (List.length fp.mailboxes));
+            ("state_messages", Int (List.length fp.state_messages));
+            ("timers", Int fp.timers); ("code_bytes", Int t.code_bytes);
+            ("ram_bytes", Int t.ram_bytes); ("total_bytes", Int t.total_bytes);
+            ("budget_bytes", Int t.budget_bytes) ] );
+      ("diags", List (List.map Lint.Diag.to_json t.diags)) ]

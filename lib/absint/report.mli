@@ -98,4 +98,4 @@ val render : t -> string
 (** Human-readable report: per-task bounds, per-semaphore holds,
     latency, derived footprint with budget verdict, diagnostics. *)
 
-val to_json : t -> string
+val to_json : t -> Util.Json.t

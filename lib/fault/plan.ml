@@ -286,47 +286,28 @@ let label = function
   | Link_partition { a; b; _ } ->
     Printf.sprintf "link-partition node%d<->node%d" a b
 
-let json_fault = function
-  | Wcet_scale { tid; pct; from_job } ->
-    Printf.sprintf "{\"kind\":\"wcet-scale\",\"tid\":%d,\"pct\":%d,\"from\":%d}"
-      tid pct from_job
-  | Wcet_add { tid; extra; from_job } ->
-    Printf.sprintf
-      "{\"kind\":\"wcet-add\",\"tid\":%d,\"extra_ns\":%d,\"from\":%d}" tid
-      extra from_job
-  | Release_jitter { tid; amplitude } ->
-    Printf.sprintf "{\"kind\":\"jitter\",\"tid\":%d,\"amp_ns\":%d}" tid
-      amplitude
-  | Irq_storm { irq; at; count; spacing } ->
-    Printf.sprintf
-      "{\"kind\":\"irq-storm\",\"irq\":%d,\"at_ns\":%d,\"count\":%d,\
-       \"spacing_ns\":%d}"
-      irq at count spacing
-  | Irq_drop { irq; one_in } ->
-    Printf.sprintf "{\"kind\":\"irq-drop\",\"irq\":%d,\"one_in\":%d}" irq
-      one_in
-  | Lost_signal { wq; one_in } ->
-    Printf.sprintf "{\"kind\":\"lost-signal\",\"wq\":%d,\"one_in\":%d}" wq
-      one_in
-  | Sporadic_burst { tid; at; count; spacing } ->
-    Printf.sprintf
-      "{\"kind\":\"burst\",\"tid\":%d,\"at_ns\":%d,\"count\":%d,\
-       \"spacing_ns\":%d}"
-      tid at count spacing
-  | Clock_drift { ppm } -> Printf.sprintf "{\"kind\":\"drift\",\"ppm\":%d}" ppm
-  | Frame_drop { one_in } ->
-    Printf.sprintf "{\"kind\":\"frame-drop\",\"one_in\":%d}" one_in
-  | Frame_corrupt { one_in } ->
-    Printf.sprintf "{\"kind\":\"frame-corrupt\",\"one_in\":%d}" one_in
-  | Node_crash { node; at } ->
-    Printf.sprintf "{\"kind\":\"node-crash\",\"node\":%d,\"at_ns\":%d}" node at
-  | Node_restart { node; at } ->
-    Printf.sprintf "{\"kind\":\"node-restart\",\"node\":%d,\"at_ns\":%d}" node
-      at
-  | Link_partition { a; b; from_; until } ->
-    Printf.sprintf
-      "{\"kind\":\"link-partition\",\"a\":%d,\"b\":%d,\"from_ns\":%d,\
-       \"until_ns\":%d}"
-      a b from_ until
-
-let to_json t = "[" ^ String.concat "," (List.map json_fault t) ^ "]"
+let to_json t =
+  let fault kind fields =
+    Util.Json.Obj (("kind", String kind) :: List.map (fun (k, v) -> (k, Util.Json.Int v)) fields)
+  in
+  let json = function
+    | Wcet_scale { tid; pct; from_job } ->
+      fault "wcet-scale" [ ("tid", tid); ("pct", pct); ("from", from_job) ]
+    | Wcet_add { tid; extra; from_job } ->
+      fault "wcet-add" [ ("tid", tid); ("extra_ns", extra); ("from", from_job) ]
+    | Release_jitter { tid; amplitude } -> fault "jitter" [ ("tid", tid); ("amp_ns", amplitude) ]
+    | Irq_storm { irq; at; count; spacing } ->
+      fault "irq-storm" [ ("irq", irq); ("at_ns", at); ("count", count); ("spacing_ns", spacing) ]
+    | Irq_drop { irq; one_in } -> fault "irq-drop" [ ("irq", irq); ("one_in", one_in) ]
+    | Lost_signal { wq; one_in } -> fault "lost-signal" [ ("wq", wq); ("one_in", one_in) ]
+    | Sporadic_burst { tid; at; count; spacing } ->
+      fault "burst" [ ("tid", tid); ("at_ns", at); ("count", count); ("spacing_ns", spacing) ]
+    | Clock_drift { ppm } -> fault "drift" [ ("ppm", ppm) ]
+    | Frame_drop { one_in } -> fault "frame-drop" [ ("one_in", one_in) ]
+    | Frame_corrupt { one_in } -> fault "frame-corrupt" [ ("one_in", one_in) ]
+    | Node_crash { node; at } -> fault "node-crash" [ ("node", node); ("at_ns", at) ]
+    | Node_restart { node; at } -> fault "node-restart" [ ("node", node); ("at_ns", at) ]
+    | Link_partition { a; b; from_; until } ->
+      fault "link-partition" [ ("a", a); ("b", b); ("from_ns", from_); ("until_ns", until) ]
+  in
+  Util.Json.List (List.map json t)

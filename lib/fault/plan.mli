@@ -100,5 +100,5 @@ val render : t -> string
 val label : fault -> string
 (** Short human label, e.g. ["wcet-scale tau2 x4.0"]. *)
 
-val to_json : t -> string
+val to_json : t -> Util.Json.t
 (** JSON array of fault objects. *)

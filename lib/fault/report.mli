@@ -65,7 +65,7 @@ val violations : t -> bool
 
 val render : t -> string
 
-val to_json : t -> string
+val to_json : t -> Util.Json.t
 
 val to_sarif : t -> Lint.Sarif.result list
 (** One result per detected-fault cell (warning), per falsified
@@ -116,7 +116,7 @@ val net_ok : net_score -> bool
 
 val render_net : net_score -> string
 
-val net_to_json : net_score -> string
+val net_to_json : net_score -> Util.Json.t
 
 val net_to_sarif : net_score -> Lint.Sarif.result list
 (** Error when the bound is exceeded or post-failover misses remain;

@@ -39,8 +39,7 @@ let count sev diags =
 let errors diags = count Error diags
 
 let to_json d =
-  let opt = function None -> "null" | Some i -> string_of_int i in
-  Printf.sprintf
-    {|{"severity":%S,"check":%S,"task":%s,"pc":%s,"message":%S}|}
-    (severity_label d.severity)
-    d.check (opt d.task) (opt d.pc) d.message
+  Util.Json.(
+    Obj
+      [ ("severity", String (severity_label d.severity)); ("check", String d.check);
+        ("task", int_opt d.task); ("pc", int_opt d.pc); ("message", String d.message) ])

@@ -63,7 +63,3 @@ let render_blocking ctx =
     terms;
   Buffer.add_char buf '\n';
   Buffer.contents buf
-
-let to_json diags =
-  let items = List.map Diag.to_json diags in
-  "[" ^ String.concat "," items ^ "]"

@@ -18,6 +18,3 @@ val render_blocking : Ctx.t -> string
 (** Per-semaphore table of priority ceilings and worst-case critical
     sections, plus the per-rank blocking terms, from
     {!Blocking_terms}. *)
-
-val to_json : Diag.t list -> string
-(** The findings as a JSON array (see {!Diag.to_json}). *)

@@ -33,41 +33,47 @@ let of_diags diags =
       })
     diags
 
-(* %S escaping is JSON-compatible for the ASCII messages these tools
-   produce (same convention as Diag.to_json). *)
+let in_scenario name results =
+  List.map
+    (fun r ->
+      {
+        r with
+        logical =
+          Some (match r.logical with None -> name | Some l -> name ^ ", " ^ l);
+      })
+    results
+
+open Util.Json
 
 let result_json r =
   let locations =
     match r.logical with
-    | None -> ""
+    | None -> []
     | Some l ->
-      Printf.sprintf
-        {|,"locations":[{"logicalLocations":[{"fullyQualifiedName":%S}]}]|} l
+      let name = Obj [ ("fullyQualifiedName", String l) ] in
+      [ ("locations", List [ Obj [ ("logicalLocations", List [ name ]) ] ]) ]
   in
-  Printf.sprintf {|{"ruleId":%S,"level":%S,"message":{"text":%S}%s}|}
-    r.rule_id (level_label r.level) r.message locations
+  Obj
+    ([ ("ruleId", String r.rule_id); ("level", String (level_label r.level));
+       ("message", Obj [ ("text", String r.message) ]) ]
+    @ locations)
 
-let rule_json id = Printf.sprintf {|{"id":%S}|} id
-
-type run = { tool_name : string; tool_version : string; results : result list }
-
-let run ~tool_name ?(tool_version = "0.1") results =
-  { tool_name; tool_version; results }
-
-let run_json r =
+let run_json (tool, results) =
   let rules =
-    List.sort_uniq String.compare (List.map (fun x -> x.rule_id) r.results)
+    List.sort_uniq String.compare (List.map (fun x -> x.rule_id) results)
+    |> List.map (fun id -> Obj [ ("id", String id) ])
   in
-  Printf.sprintf
-    {|{"tool":{"driver":{"name":%S,"version":%S,"rules":[%s]}},"results":[%s]}|}
-    r.tool_name r.tool_version
-    (String.concat "," (List.map rule_json rules))
-    (String.concat "," (List.map result_json r.results))
+  let driver =
+    Obj [ ("name", String tool); ("version", String "0.1"); ("rules", List rules) ]
+  in
+  Obj
+    [ ("tool", Obj [ ("driver", driver) ]);
+      ("results", List (List.map result_json results)) ]
 
-let render_log runs =
-  Printf.sprintf
-    {|{"$schema":"https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/Schemata/sarif-schema-2.1.0.json","version":"2.1.0","runs":[%s]}|}
-    (String.concat "," (List.map run_json runs))
-
-let render ~tool_name ?(tool_version = "0.1") results =
-  render_log [ run ~tool_name ~tool_version results ]
+let log runs =
+  Obj
+    [ ( "$schema",
+        String
+          "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/Schemata/sarif-schema-2.1.0.json"
+      );
+      ("version", String "2.1.0"); ("runs", List (List.map run_json runs)) ]

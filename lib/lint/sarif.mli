@@ -6,7 +6,7 @@
     format.  Shared by the lint report ([emeralds_cli lint --format
     sarif]), the model checker ([emeralds_cli check --format sarif])
     and the soundness campaign, which aggregates several oracles as
-    separate runs of one log through {!render_log}. *)
+    separate runs of one log. *)
 
 type level = Error | Warning | Note
 
@@ -22,17 +22,12 @@ type result = {
 val of_diags : Diag.t list -> result list
 (** Lint diagnostics as SARIF results ([Info] maps to [Note]). *)
 
-type run = { tool_name : string; tool_version : string; results : result list }
-(** One SARIF run: a tool driver plus its results. *)
+val in_scenario : string -> result list -> result list
+(** Prefix each result's logical location with a scenario name
+    (["engine, task 3, pc 2"]), so results from several scenarios can
+    share one log. *)
 
-val run : tool_name:string -> ?tool_version:string -> result list -> run
-
-val render_log : run list -> string
-(** A complete SARIF 2.1.0 log aggregating several tool runs — the
-    multi-run shape the campaign uses to report each oracle (lint,
-    analyze, check, the differential lattice) as its own run. *)
-
-val render :
-  tool_name:string -> ?tool_version:string -> result list -> string
-(** A complete single-run SARIF 2.1.0 log document; byte-identical to
-    [render_log [run ~tool_name ?tool_version results]]. *)
+val log : (string * result list) list -> Util.Json.t
+(** A complete SARIF 2.1.0 log with one run per [(tool name, results)]
+    pair — the multi-run shape the campaign uses to report each oracle
+    (lint, analyze, check, the differential lattice) as its own run. *)

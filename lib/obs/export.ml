@@ -1,18 +1,10 @@
-let us_of_ns ns = float_of_int ns /. 1_000.0
-
 (* ---- Perfetto / Chrome trace-event JSON ---- *)
 
 let perfetto ?blame (events : Sim.Trace.stamped list) =
-  let buf = Buffer.create 4096 in
-  let first = ref true in
-  let item fmt =
-    Printf.ksprintf
-      (fun s ->
-        if !first then first := false else Buffer.add_string buf ",\n ";
-        Buffer.add_string buf s)
-      fmt
-  in
-  Buffer.add_string buf "{\"traceEvents\":[\n ";
+  let open Util.Json in
+  let items = ref [] in
+  let item fields = items := Obj fields :: !items in
+  let ts ns = ("ts", Float (float_of_int ns /. 1_000.0)) in
   (* Blame counter tracks: one "C" sample per closed job carrying the
      component split, plus a flow arrow from each deadline miss to its
      dominant blamer's track.  The attributor replays the same event
@@ -26,15 +18,19 @@ let perfetto ?blame (events : Sim.Trace.stamped list) =
     | Some tasks ->
       let b = Blame.create ~tasks () in
       Blame.on_complete b (fun bd ->
-          let ts = us_of_ns !last_ts in
           let interference =
             List.fold_left (fun a (_, v) -> a + v) 0 bd.Blame.b_interference
           in
           item
-            "{\"name\":\"blame tau%d\",\"ph\":\"C\",\"ts\":%.3f,\"pid\":0,\"args\":{\"exec\":%d,\"interference\":%d,\"blocking\":%d,\"overhead\":%d,\"backlog\":%d,\"suspend\":%d,\"gap\":%d}}"
-            bd.Blame.b_tid ts bd.Blame.b_exec interference
-            (Blame.blocking_total bd) (Blame.overhead_total bd)
-            bd.Blame.b_backlog bd.Blame.b_suspend bd.Blame.b_gap;
+            [ ("name", String (Printf.sprintf "blame tau%d" bd.Blame.b_tid));
+              ("ph", String "C"); ts !last_ts; ("pid", Int 0);
+              ( "args",
+                Obj
+                  [ ("exec", Int bd.Blame.b_exec); ("interference", Int interference);
+                    ("blocking", Int (Blame.blocking_total bd));
+                    ("overhead", Int (Blame.overhead_total bd));
+                    ("backlog", Int bd.Blame.b_backlog); ("suspend", Int bd.Blame.b_suspend);
+                    ("gap", Int bd.Blame.b_gap) ] ) ];
           match
             Hashtbl.find_opt pending_miss (bd.Blame.b_tid, bd.Blame.b_job)
           with
@@ -50,13 +46,15 @@ let perfetto ?blame (events : Sim.Trace.stamped list) =
                 id
               | _ -> bd.Blame.b_tid
             in
-            let label = "blame: " ^ Blame.cause_label cause in
+            let label = String ("blame: " ^ Blame.cause_label cause) in
             item
-              "{\"name\":%S,\"cat\":\"blame\",\"ph\":\"s\",\"id\":%d,\"ts\":%.3f,\"pid\":0,\"tid\":%d,\"args\":{\"ns\":%d}}"
-              label !flow_seq (us_of_ns miss_ts) blamer_tid amount;
+              [ ("name", label); ("cat", String "blame"); ("ph", String "s");
+                ("id", Int !flow_seq); ts miss_ts; ("pid", Int 0); ("tid", Int blamer_tid);
+                ("args", Obj [ ("ns", Int amount) ]) ];
             item
-              "{\"name\":%S,\"cat\":\"blame\",\"ph\":\"f\",\"bp\":\"e\",\"id\":%d,\"ts\":%.3f,\"pid\":0,\"tid\":%d}"
-              label !flow_seq ts bd.Blame.b_tid);
+              [ ("name", label); ("cat", String "blame"); ("ph", String "f");
+                ("bp", String "e"); ("id", Int !flow_seq); ts !last_ts; ("pid", Int 0);
+                ("tid", Int bd.Blame.b_tid) ]);
       Some b
   in
   (* thread-name metadata for every task that appears *)
@@ -71,16 +69,17 @@ let perfetto ?blame (events : Sim.Trace.stamped list) =
   List.iter
     (fun tid ->
       item
-        "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":%d,\"args\":{\"name\":\"tau%d\"}}"
-        tid tid)
+        [ ("name", String "thread_name"); ("ph", String "M"); ("pid", Int 0);
+          ("tid", Int tid); ("args", Obj [ ("name", String (Printf.sprintf "tau%d" tid)) ]) ])
     tids;
   let open_slice = ref None in
-  let close_slice ts =
+  let close_slice at =
     match !open_slice with
     | None -> ()
-    | Some (tid, _) ->
-      item "{\"name\":\"tau%d\",\"ph\":\"E\",\"ts\":%.3f,\"pid\":0,\"tid\":%d}"
-        tid (us_of_ns ts) tid;
+    | Some tid ->
+      item
+        [ ("name", String (Printf.sprintf "tau%d" tid)); ("ph", String "E"); ts at;
+          ("pid", Int 0); ("tid", Int tid) ];
       open_slice := None
   in
   List.iter
@@ -97,25 +96,21 @@ let perfetto ?blame (events : Sim.Trace.stamped list) =
         match to_tid with
         | Some tid ->
           item
-            "{\"name\":\"tau%d\",\"ph\":\"B\",\"ts\":%.3f,\"pid\":0,\"tid\":%d,\"cat\":\"sched\"}"
-            tid (us_of_ns at) tid;
-          open_slice := Some (tid, at)
+            [ ("name", String (Printf.sprintf "tau%d" tid)); ("ph", String "B"); ts at;
+              ("pid", Int 0); ("tid", Int tid); ("cat", String "sched") ];
+          open_slice := Some tid
         | None -> ())
       | _ ->
         let kind, tid, detail = Sim.Trace.csv_fields entry in
         let cat = Probe.category_name (Probe.category_of_entry entry) in
-        if tid >= 0 then
-          item
-            "{\"name\":%S,\"ph\":\"i\",\"ts\":%.3f,\"pid\":0,\"tid\":%d,\"cat\":%S,\"s\":\"t\",\"args\":{\"detail\":%S}}"
-            kind (us_of_ns at) tid cat detail
-        else
-          item
-            "{\"name\":%S,\"ph\":\"i\",\"ts\":%.3f,\"pid\":0,\"tid\":0,\"cat\":%S,\"s\":\"g\",\"args\":{\"detail\":%S}}"
-            kind (us_of_ns at) cat detail)
+        item
+          [ ("name", String kind); ("ph", String "i"); ts at; ("pid", Int 0);
+            ("tid", Int (max tid 0)); ("cat", String cat);
+            ("s", String (if tid >= 0 then "t" else "g"));
+            ("args", Obj [ ("detail", String detail) ]) ])
     events;
   close_slice !last_ts;
-  Buffer.add_string buf "\n],\"displayTimeUnit\":\"ms\"}\n";
-  Buffer.contents buf
+  Obj [ ("traceEvents", List (List.rev !items)); ("displayTimeUnit", String "ms") ]
 
 (* ---- Prometheus text exposition ---- *)
 
@@ -197,58 +192,25 @@ let prometheus (m : Metrics.t) =
 
 (* ---- JSON metrics digest ---- *)
 
-let json_hist buf h =
-  Printf.bprintf buf
-    "{\"count\":%d,\"p50\":%d,\"p95\":%d,\"p99\":%d,\"max\":%d}"
-    (Util.Hist.count h)
-    (Util.Hist.quantile h 0.5)
-    (Util.Hist.quantile h 0.95)
-    (Util.Hist.quantile h 0.99)
-    (Util.Hist.max_value h)
-
 let metrics_json (m : Metrics.t) =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\"counters\":{";
-  List.iteri
-    (fun i (kind, n) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Printf.bprintf buf "%S:%d" kind n)
-    (Metrics.counters m);
-  Buffer.add_string buf "},\"response\":{";
-  List.iteri
-    (fun i tid ->
-      match Metrics.response m ~tid with
-      | Some h ->
-        if i > 0 then Buffer.add_char buf ',';
-        Printf.bprintf buf "\"%d\":" tid;
-        json_hist buf h
-      | None -> ())
-    (Metrics.response_tids m);
-  Buffer.add_string buf "},\"blocking\":{";
-  List.iteri
-    (fun i tid ->
-      match Metrics.blocking m ~tid with
-      | Some h ->
-        if i > 0 then Buffer.add_char buf ',';
-        Printf.bprintf buf "\"%d\":" tid;
-        json_hist buf h
-      | None -> ())
-    (Metrics.blocking_tids m);
-  Buffer.add_string buf "}";
-  if Util.Hist.count (Metrics.irq_latency m) > 0 then begin
-    Buffer.add_string buf ",\"irq_latency\":";
-    json_hist buf (Metrics.irq_latency m)
-  end;
-  if Util.Hist.count (Metrics.ready_depth m) > 0 then begin
-    Buffer.add_string buf ",\"ready_depth\":";
-    json_hist buf (Metrics.ready_depth m)
-  end;
-  Buffer.add_string buf ",\"overhead\":{";
-  List.iteri
-    (fun i (cat, h) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Printf.bprintf buf "%S:" cat;
-      json_hist buf h)
-    (Metrics.overhead m);
-  Buffer.add_string buf "}}\n";
-  Buffer.contents buf
+  let open Util.Json in
+  let hist h =
+    let q p = Int (Util.Hist.quantile h p) in
+    Obj
+      [ ("count", Int (Util.Hist.count h)); ("p50", q 0.5); ("p95", q 0.95);
+        ("p99", q 0.99); ("max", Int (Util.Hist.max_value h)) ]
+  in
+  let per_tid tids find =
+    Obj
+      (List.filter_map
+         (fun tid -> Option.map (fun h -> (string_of_int tid, hist h)) (find m ~tid))
+         tids)
+  in
+  let nonempty name h = if Util.Hist.count h > 0 then [ (name, hist h) ] else [] in
+  Obj
+    ([ ("counters", Obj (List.map (fun (kind, n) -> (kind, Int n)) (Metrics.counters m)));
+       ("response", per_tid (Metrics.response_tids m) Metrics.response);
+       ("blocking", per_tid (Metrics.blocking_tids m) Metrics.blocking) ]
+    @ nonempty "irq_latency" (Metrics.irq_latency m)
+    @ nonempty "ready_depth" (Metrics.ready_depth m)
+    @ [ ("overhead", Obj (List.map (fun (cat, h) -> (cat, hist h)) (Metrics.overhead m))) ])

@@ -1,13 +1,10 @@
-(** Exporters for traces and metrics.
-
-    Everything here is plain string generation — no JSON library is
-    available in the toolchain, so emitters stick to a small, easily
-    validated subset (ASCII, [%S] escaping). *)
+(** Exporters for traces and metrics: the JSON ones build
+    {!Util.Json.t} values, Prometheus exposition is plain text. *)
 
 val perfetto :
   ?blame:(int * Model.Time.t * Model.Time.t) array ->
   Sim.Trace.stamped list ->
-  string
+  Util.Json.t
 (** Chrome/Perfetto trace-event JSON ({"traceEvents": [...]}):
     [Context_switch] entries become B/E duration slices on the
     running task's track (any slice still open at the end is closed at
@@ -29,6 +26,6 @@ val prometheus : Metrics.t -> string
     (per-task response and blocking time, interrupt latency,
     ready-queue depth, per-category overhead). *)
 
-val metrics_json : Metrics.t -> string
+val metrics_json : Metrics.t -> Util.Json.t
 (** Compact JSON digest of the same series (counters plus
     count/p50/p95/p99/max per histogram), for scripting. *)

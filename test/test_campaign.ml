@@ -174,7 +174,7 @@ let test_shrink () =
 
 let test_sarif_shape () =
   let clean = Lazy.force small_run in
-  let sarif = Campaign.Report.to_sarif clean in
+  let sarif = Util.Json.to_string (Campaign.Report.to_sarif clean) in
   check bool "sarif version" true (contains sarif {|"version":"2.1.0"|});
   List.iter
     (fun tool ->
@@ -184,16 +184,18 @@ let test_sarif_shape () =
   check bool "clean runs carry no results" true
     (not (contains sarif {|"ruleId":"campaign/|}));
   let bad = Lazy.force ablated_run in
-  let sarif = Campaign.Report.to_sarif bad in
+  let sarif = Util.Json.to_string (Campaign.Report.to_sarif bad) in
   check bool "falsifications become results" true
     (contains sarif {|"ruleId":"campaign/demand"|})
 
 let test_json_and_text () =
   let s = Lazy.force small_run in
-  let json = Campaign.Report.to_json s in
-  List.iter
-    (fun needle -> check bool needle true (contains json needle))
-    [ {|"scenarios": 25|}; {|"falsifications": 0|}; {|"per_oracle"|} ];
+  let json = Util.Json.(of_string (to_string (Campaign.Report.to_json s))) |> Result.get_ok in
+  check bool "scenarios = 25" true (Util.Json.member "scenarios" json = Some (Int 25));
+  check bool "falsifications = 0" true
+    (Util.Json.member "falsifications" json = Some (Int 0));
+  check bool "per_oracle present" true
+    (match Util.Json.member "per_oracle" json with Some (Obj (_ :: _)) -> true | _ -> false);
   let text = Campaign.Report.render_text s in
   check bool "text mentions scenario count" true (contains text "25");
   check bool "text mentions oracles" true (contains text "rta-sim")

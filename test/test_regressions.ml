@@ -271,6 +271,38 @@ let test_handoff_reinherits_deadline () =
   | `Ok -> ()
   | `Violation _ -> fail "MC found a PI violation after hand-off")
 
+(* A spec file may name a task with any bytes.  The exporters used
+   OCaml's %S escaping, which writes "na\195\175ve\001" for "naïve"
+   followed by byte 0x01 -- not JSON.  A Perfetto trace and a SARIF log
+   carrying the name must parse back to the same value. *)
+let test_spec_file_name_escaping () =
+  let name = "na\xc3\xafve\x01" in
+  let path = Filename.temp_file "emeralds" ".tasks" in
+  Out_channel.with_open_bin path (fun oc ->
+      Printf.fprintf oc "task 1 period=10ms wcet=1ms name=%s\n" name);
+  let loaded = Workload.Spec_file.load path in
+  Sys.remove path;
+  let taskset = match loaded with Ok ts -> ts | Error e -> failf "spec file: %s" e in
+  let task = Model.Taskset.get taskset 0 in
+  check string "name loaded verbatim" name task.name;
+  let k = Kernel.create ~cost:Sim.Cost.m68040 ~spec:Sched.Rm ~taskset () in
+  Kernel.run k ~until:(ms 20);
+  let rec strings = function
+    | Util.Json.String s -> [ s ]
+    | List l -> List.concat_map strings l
+    | Obj kv -> List.concat_map (fun (_, v) -> strings v) kv
+    | _ -> []
+  in
+  let reads_back what v =
+    check bool (what ^ " parses back") true (Util.Json.of_string (Util.Json.to_string v) = Ok v);
+    check bool (what ^ " carries the name") true (List.mem name (strings v))
+  in
+  let note = { Sim.Trace.at = ms 20; entry = Note task.name } in
+  reads_back "perfetto" (Obs.Export.perfetto (Sim.Trace.entries (Kernel.trace k) @ [ note ]));
+  let diag = Lint.Diag.make Info ~check:"hygiene" ~task:1 task.name in
+  reads_back "sarif"
+    (Lint.Sarif.log [ ("emeralds-lint", Lint.Sarif.(in_scenario "spec" (of_diags [ diag ]))) ])
+
 let suite =
   [
     test_case "budget probe fires when detection is overdue" `Quick
@@ -283,4 +315,6 @@ let suite =
       test_chain_keeps_members;
     test_case "hand-off re-inherits remaining waiters' deadlines" `Quick
       test_handoff_reinherits_deadline;
+    test_case "spec-file task names survive JSON and SARIF" `Quick
+      test_spec_file_name_escaping;
   ]

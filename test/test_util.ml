@@ -1,5 +1,5 @@
 (* Tests for the util substrate: integer math, the deterministic RNG,
-   statistics, the indexed binary heap, and the intrusive list. *)
+   statistics, the indexed binary heap, the intrusive list and JSON. *)
 
 open Alcotest
 
@@ -269,6 +269,61 @@ let test_tablefmt () =
   check string "cell_f" "1.50" (Util.Tablefmt.cell_f 1.5);
   check string "cell_i" "42" (Util.Tablefmt.cell_i 42)
 
+(* ------------------------------------------------------------------ *)
+(* Json *)
+
+(* strings of valid UTF-8 biased towards what needs escaping: control
+   characters, quote, backslash, DEL and multi-byte code points *)
+let gen_json_string =
+  let open QCheck2.Gen in
+  let uchar =
+    oneof
+      [ int_range 0 0x1f; int_range 0x20 0x7f; oneofl [ 0x22; 0x5c ];
+        int_range 0x80 0xd7ff; int_range 0xe000 0x10ffff ]
+  in
+  let utf8 us =
+    let b = Buffer.create 16 in
+    List.iter (fun u -> Buffer.add_utf_8_uchar b (Uchar.of_int u)) us;
+    Buffer.contents b
+  in
+  map utf8 (list_size (int_bound 12) uchar)
+
+let gen_json =
+  let open QCheck2.Gen in
+  let open Util.Json in
+  let finite f = Float (if Float.is_finite f then f else 0.1) in
+  let leaf =
+    oneof
+      [ pure Null; map (fun b -> Bool b) bool; map (fun i -> Int i) int; map finite float;
+        map (fun s -> String s) gen_json_string ]
+  in
+  sized
+  @@ fix (fun self n ->
+         let sub g = list_size (int_bound 4) g in
+         if n <= 1 then leaf
+         else
+           oneof
+             [ leaf; map (fun l -> List l) (sub (self (n / 4)));
+               map (fun kv -> Obj kv) (sub (pair gen_json_string (self (n / 4)))) ])
+
+let prop_json_roundtrip =
+  qtest "json: of_string (to_string v) = v" gen_json (fun v ->
+      Util.Json.of_string (Util.Json.to_string v) = Ok v)
+
+let test_json_printer () =
+  check string "escapes" "\"na\xc3\xafve\\u0001\\u000a\\\"\\ufffd\""
+    (Util.Json.to_string (String "na\xc3\xafve\x01\n\"\xff"));
+  check string "integral float stays a float" "[1.0,0.1,-2.5e-07,null]"
+    (Util.Json.to_string (List [ Float 1.; Float 0.1; Float (-2.5e-7); Float Float.nan ]))
+
+let test_json_rejects () =
+  let rejects s = Result.is_error (Util.Json.of_string s) in
+  check bool "accepts object" false (rejects {|{"a":[1,2.5,-3e4],"b":"x\"y","c":null}|});
+  check bool "rejects trailing junk" true (rejects "{}g");
+  check bool "rejects bare comma" true (rejects "[1,]");
+  check bool "rejects unclosed string" true (rejects {|{"a":"b}|});
+  check bool "rejects raw control character" true (rejects "[\"a\x01b\"]")
+
 let suite =
   [
     test_case "intmath: ceil_div" `Quick test_ceil_div;
@@ -293,4 +348,7 @@ let suite =
     prop_dlist_model;
     test_case "dlist: navigation" `Quick test_dlist_navigation;
     test_case "tablefmt: render" `Quick test_tablefmt;
+    prop_json_roundtrip;
+    test_case "json: printer escapes" `Quick test_json_printer;
+    test_case "json: rejects malformed input" `Quick test_json_rejects;
   ]
