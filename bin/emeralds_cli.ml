@@ -611,6 +611,12 @@ let check_cmd =
       Mc.Explorer.check ~por:(not no_por) ?seed:search_seed ~props ~bounds m
     in
     let ok = r.verdict = `Ok in
+    let hit_bound =
+      match r.truncated_by with
+      | Some `States -> Some ("max-states", bounds.max_states)
+      | Some `Depth -> Some ("max-depth", bounds.max_depth)
+      | None -> None
+    in
     if format = Some "sarif" then begin
       let results =
         match r.verdict with
@@ -649,7 +655,10 @@ let check_cmd =
            ((("scenario", String scenario.name) :: verdict)
            @ [ ("expansions", Int r.expansions); ("distinct", Int r.distinct);
                ("revisits", Int r.revisits); ("por_skipped", Int r.por_skipped);
-               ("truncated", Bool r.truncated); ("jobs", Int r.jobs);
+               ("truncated", Bool r.truncated);
+               ("truncated_by",
+                 match hit_bound with Some (b, _) -> String b | None -> Null);
+               ("jobs", Int r.jobs);
                ("max_response_ns", Obj responses) ]))
     end
     else begin
@@ -663,7 +672,9 @@ let check_cmd =
         "explored %d segments, %d distinct decision states, %d revisits \
          pruned, %d tie choices merged, %d jobs%s\n"
         r.expansions r.distinct r.revisits r.por_skipped r.jobs
-        (if r.truncated then " [TRUNCATED: bounds hit]" else "");
+        (match hit_bound with
+        | Some (b, n) -> Printf.sprintf " [TRUNCATED: %s %d]" b n
+        | None -> "");
       (match r.verdict with
       | `Ok ->
         Printf.printf "no violation within bounds%s\n"

@@ -10,6 +10,7 @@ type result = {
   revisits : int;
   por_skipped : int;
   truncated : bool;
+  truncated_by : [ `States | `Depth ] option;
   jobs : int;
   max_response : int array;
 }
@@ -30,74 +31,73 @@ let check ?(por = true) ?seed ~props ~bounds m =
         Util.Rng.shuffle rng a;
         Array.to_list a
   in
-  let check_state = Props.check_state props m in
+  let check = Props.check_state props m in
   let check_note = Props.check_note props m in
   let visited = Hashtbl.create 4096 in
   let expansions = ref 0 in
   let revisits = ref 0 in
   let skipped = ref 0 in
-  let truncated = ref false in
+  let capped = ref false and too_deep = ref false in
   let jobs = ref 0 in
   let max_response = Array.make (Machine.n_tasks m) 0 in
   let violation = ref None in
-  (* Explicit DFS stack; each frame carries the reversed choice path,
-     structurally shared with its siblings. *)
-  let stack = ref [ (State.init m, [], 0) ] in
-  while !stack <> [] && !violation = None do
+  (* Explicit DFS stack of (parent state, choice to commit, reversed
+     choice path, depth) frames: the children of one decision state
+     share it, and their paths share its path. *)
+  let stack = ref [ (State.init m, None, [], 0) ] in
+  let running = ref true in
+  while !running do
     match !stack with
-    | [] -> ()
-    | (st, path, depth) :: rest ->
+    | [] -> running := false
+    | _ :: _ when !expansions >= bounds.max_states ->
+      capped := true;
+      running := false
+    | (parent, choice, path, depth) :: rest -> (
       stack := rest;
-      if !expansions >= bounds.max_states then truncated := true
-      else begin
-        incr expansions;
-        let e =
-          Step.expand ~check:check_state ~check_note ~horizon:bounds.horizon m
-            st
-        in
-        List.iter
-          (fun (_, n) ->
-            match n with
-            | State.Job_done { idx; response } ->
-              incr jobs;
-              if response > max_response.(idx) then
-                max_response.(idx) <- response
-            | _ -> ())
-          e.notes;
-        match e.violation with
-        | Some (p, msg, at) ->
-          violation :=
-            Some
-              {
-                Counterexample.prop = p;
-                message = msg;
-                at;
-                horizon = bounds.horizon;
-                choices = List.rev path;
-              }
-        | None -> (
-          match e.next with
-          | `Leaf -> ()
-          | `Branch cs ->
-            let key = State.key m e.state in
-            if Hashtbl.mem visited key then incr revisits
+      incr expansions;
+      let e =
+        Step.expand ~check ~check_note ?choice ~horizon:bounds.horizon m parent
+      in
+      List.iter
+        (fun (_, n) ->
+          match n with
+          | State.Job_done { idx; response } ->
+            incr jobs;
+            if response > max_response.(idx) then
+              max_response.(idx) <- response
+          | _ -> ())
+        e.notes;
+      match e.violation with
+      | Some (p, msg, at) ->
+        running := false;
+        violation :=
+          Some
+            {
+              Counterexample.prop = p;
+              message = msg;
+              at;
+              horizon = bounds.horizon;
+              choices = List.rev path;
+            }
+      | None -> (
+        match e.next with
+        | `Leaf -> ()
+        | `Branch cs ->
+          let key = State.key m e.state in
+          if Hashtbl.mem visited key then incr revisits
+          else begin
+            Hashtbl.add visited key ();
+            if depth >= bounds.max_depth then too_deep := true
             else begin
-              Hashtbl.add visited key ();
-              if depth >= bounds.max_depth then truncated := true
-              else begin
-                let cs, sk =
-                  if por then Por.reduce m e.state cs else (cs, 0)
-                in
-                let cs = shuffle cs in
-                skipped := !skipped + sk;
-                List.iter
-                  (fun ch ->
-                    stack :=
-                      (Step.apply m e.state ch, ch :: path, depth + 1) :: !stack)
-                  cs
-              end
-            end)
-      end
+              let cs, sk = if por then Por.reduce m e.state cs else (cs, 0) in
+              let cs = shuffle cs in
+              skipped := !skipped + sk;
+              List.iter
+                (fun ch ->
+                  stack := (e.state, Some ch, ch :: path, depth + 1) :: !stack)
+                cs
+            end
+          end))
   done;
   {
     verdict =
@@ -106,7 +106,11 @@ let check ?(por = true) ?seed ~props ~bounds m =
     distinct = Hashtbl.length visited;
     revisits = !revisits;
     por_skipped = !skipped;
-    truncated = !truncated;
+    truncated = !capped || !too_deep;
+    truncated_by =
+      (if !capped then Some `States
+       else if !too_deep then Some `Depth
+       else None);
     jobs = !jobs;
     max_response;
   }

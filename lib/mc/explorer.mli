@@ -7,7 +7,12 @@
     Exploration is bounded three ways — virtual-time horizon, total
     expansions, and decisions per path — and reports whether any bound
     actually truncated it, so "no violation" can be read as "none
-    within the bounds" rather than a proof beyond them. *)
+    within the bounds" rather than a proof beyond them.
+
+    The depth-first stack holds [(parent state, choice)] frames: the
+    children of a decision state share it, and each child's choice is
+    committed inside its own expansion ({!Step.expand} [~choice]).  The
+    search stops as soon as the expansion budget is spent. *)
 
 type bounds = {
   horizon : int;  (** virtual-time bound, ns *)
@@ -25,6 +30,11 @@ type result = {
   revisits : int;  (** paths cut by visited pruning *)
   por_skipped : int;  (** choices pruned by partial-order reduction *)
   truncated : bool;  (** some bound cut exploration short *)
+  truncated_by : [ `States | `Depth ] option;
+      (** which bound: [`States] when the expansion budget stopped the
+          search (it may also have cut paths at the depth bound before),
+          [`Depth] when only the depth bound cut paths; [None] exactly
+          when [truncated] is false *)
   jobs : int;  (** job completions observed across all paths *)
   max_response : int array;
       (** worst observed response per task (indexed like

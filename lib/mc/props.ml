@@ -11,28 +11,48 @@ let no_note _ ~at:_ _ = None
 
 (* --- deadlock -------------------------------------------------------- *)
 
-(* Follow the blocked-on chain: each task blocks on at most one
-   semaphore and a mutex has at most one holder, so the graph is
-   functional — walking it either terminates or closes a cycle. *)
-let find_cycle (st : State.t) =
+(* The blocked-on graph is functional: each task blocks on at most one
+   semaphore and a mutex has at most one holder. *)
+let succ (st : State.t) i =
+  match st.tasks.(i).mode with State.BSem s -> st.sem_holder.(s) | _ -> -1
+
+(* [i] is [j] or a task on [j]'s chain, counting [steps] edges walked
+   so far against the [n]-edge limit *)
+let rec reaches (st : State.t) i j steps =
+  j >= 0
+  && (j = i
+     || (steps < Array.length st.tasks && reaches st i (succ st j) (steps + 1)))
+
+let on_cycle st i = reaches st i (succ st i) 1
+
+(* where a walk of [steps] edges from [j] stops; -1 if the chain ends *)
+let rec walk st j steps =
+  if j < 0 || steps = 0 then j else walk st (succ st j) (steps - 1)
+
+let rec first_on_cycle st j =
+  if on_cycle st j then j else first_on_cycle st (succ st j)
+
+let rec cycle_from st h acc j =
+  let acc = j :: acc in
+  let k = succ st j in
+  if k = h then acc else cycle_from st h acc k
+
+(* The circular wait of the lowest-index task whose chain closes one,
+   members only (a waiter merely blocked behind the cycle is not part
+   of it), in reverse walk order from where the chain enters the
+   cycle.  Allocates only when there is a cycle to report: on a state
+   with no task blocked on a semaphore, every walk ends at its first
+   step. *)
+let rec find_cycle_from (st : State.t) i =
   let n = Array.length st.tasks in
-  let rec follow seen i steps =
-    if steps > n then None
-    else
-      match st.tasks.(i).mode with
-      | State.BSem s -> (
-        match st.sem_holder.(s) with
-        | -1 -> None
-        | h ->
-          if List.mem h seen then Some (List.rev seen)
-          else follow (seen @ [ h ]) h (steps + 1))
-      | _ -> None
-  in
-  let rec scan i =
-    if i >= n then None
-    else match follow [ i ] i 0 with Some c -> Some c | None -> scan (i + 1)
-  in
-  scan 0
+  if i >= n then None
+  (* a chain still going after [n] steps is inside its cycle *)
+  else if walk st i n < 0 then find_cycle_from st (i + 1)
+  else
+    let h = first_on_cycle st i in
+    Some (cycle_from st h [] h)
+
+let find_cycle st = find_cycle_from st 0
 
 let deadlock =
   {
@@ -54,6 +74,46 @@ let deadlock =
 
 (* --- priority inheritance ------------------------------------------- *)
 
+let rec mem_int x = function [] -> false | y :: tl -> y = x || mem_int x tl
+
+(* The declarative fixpoint of one component: the minimum of [own]
+   over [i] and every (transitive) waiter on a semaphore [i] holds.
+   A min does not depend on order or duplicates, so the waiters are
+   folded straight from the task modes.  Terminates because the caller
+   has ruled out circular waits. *)
+let rec fixpoint (st : State.t) own i =
+  let t = st.tasks.(i) in
+  let v = ref (own i t) in
+  for w = 0 to Array.length st.tasks - 1 do
+    match st.tasks.(w).mode with
+    | State.BSem s when st.sem_holder.(s) = i && mem_int s t.held ->
+      let x = fixpoint st own w in
+      if x < !v then v := x
+    | _ -> ()
+  done;
+  !v
+
+let base_rank i (_ : State.tstate) = i
+let base_deadline _ (t : State.tstate) = t.dl
+
+(* the first non-idle task from [i] on whose effective values are not
+   the fixpoint *)
+let rec pi_mismatch (m : Machine.t) (st : State.t) i =
+  if i >= Array.length st.tasks then None
+  else
+    let t = st.tasks.(i) in
+    match t.mode with
+    | State.Idle -> pi_mismatch m st (i + 1)
+    | _ ->
+      let e = fixpoint st base_rank i and d = fixpoint st base_deadline i in
+      if t.eff <> e || t.effdl <> d then
+        Some
+          (Printf.sprintf
+             "%s: effective (rank %d, deadline %d) but inheritance fixpoint \
+              gives (rank %d, deadline %d)"
+             m.tasks.(i).task_name t.eff t.effdl e d)
+      else pi_mismatch m st (i + 1)
+
 let pi =
   {
     name = "pi";
@@ -63,125 +123,77 @@ let pi =
       (fun m st ->
         match find_cycle st with
         | Some _ -> None (* fixpoint undefined; the deadlock prop owns this *)
-        | None ->
-          let rec spec i =
-            let t = st.tasks.(i) in
-            let held =
-              List.filter
-                (fun s -> st.sem_holder.(s) = i)
-                (List.sort_uniq compare t.held)
-            in
-            List.fold_left
-              (fun acc s ->
-                List.fold_left
-                  (fun (e, d) w ->
-                    let we, wd = spec w in
-                    (min e we, min d wd))
-                  acc (State.sem_waiters m st s))
-              (i, t.dl) held
-          in
-          let bad = ref None in
-          Array.iteri
-            (fun i (t : State.tstate) ->
-              if !bad = None && t.mode <> State.Idle then begin
-                let e, d = spec i in
-                if t.eff <> e || t.effdl <> d then
-                  bad :=
-                    Some
-                      (Printf.sprintf
-                         "%s: effective (rank %d, deadline %d) but inheritance \
-                          fixpoint gives (rank %d, deadline %d)"
-                         m.tasks.(i).task_name t.eff t.effdl e d)
-              end)
-            st.tasks;
-          !bad);
+        | None -> pi_mismatch m st 0);
     on_note = no_note;
   }
 
 (* --- structural invariants ------------------------------------------ *)
 
-let invariants_state (m : Machine.t) (st : State.t) =
-  let fail = ref None in
-  let check cond msg = if !fail = None && not cond then fail := Some (msg ()) in
-  let runners =
-    Array.fold_left
-      (fun n (t : State.tstate) -> if t.mode = State.Run then n + 1 else n)
-      0 st.tasks
-  in
-  check (runners <= 1) (fun () ->
-      Printf.sprintf "%d tasks running at once" runners);
-  Array.iteri
-    (fun s v ->
-      check
-        (v >= 0 && v <= m.sem_initial.(s))
-        (fun () ->
-          Printf.sprintf "sem %d value %d outside [0,%d]" m.sem_ids.(s) v
-            m.sem_initial.(s));
-      check
-        (v = 0 || State.sem_waiters m st s = [])
-        (fun () ->
-          Printf.sprintf "sem %d available (value %d) yet has waiters"
-            m.sem_ids.(s) v);
-      match st.sem_holder.(s) with
-      | -1 -> ()
-      | h ->
-        check (m.sem_initial.(s) = 1) (fun () ->
-            Printf.sprintf "counting sem %d has a tracked holder" m.sem_ids.(s));
-        check (v = 0) (fun () ->
-            Printf.sprintf "sem %d held yet value %d" m.sem_ids.(s) v);
-        check
-          (List.mem s st.tasks.(h).held)
-          (fun () ->
-            Printf.sprintf "sem %d holder %s does not list it as held"
-              m.sem_ids.(s) m.tasks.(h).task_name);
-        check
-          (st.tasks.(h).mode <> State.BSem s)
-          (fun () ->
-            Printf.sprintf "sem %d holder %s blocked on its own sem"
-              m.sem_ids.(s) m.tasks.(h).task_name))
-    st.sem_val;
-  Array.iteri
-    (fun b occ ->
-      check
-        (occ >= 0 && occ <= m.mb_cap.(b))
-        (fun () ->
-          Printf.sprintf "mailbox %d occupancy %d outside [0,%d]" m.mb_ids.(b)
-            occ m.mb_cap.(b));
-      check
-        (State.mb_senders m st b = [] || occ = m.mb_cap.(b))
-        (fun () ->
-          Printf.sprintf "mailbox %d has blocked senders yet %d/%d slots"
-            m.mb_ids.(b) occ m.mb_cap.(b));
-      check
-        (State.mb_receivers m st b = [] || occ = 0)
-        (fun () ->
-          Printf.sprintf "mailbox %d has blocked receivers yet occupancy %d"
-            m.mb_ids.(b) occ))
-    st.mb_occ;
-  Array.iteri
-    (fun w n ->
-      check (n >= 0) (fun () ->
-          Printf.sprintf "wait queue %d pending count %d" m.wq_ids.(w) n))
-    st.wq_sig;
-  Array.iteri
-    (fun i (t : State.tstate) ->
-      let len = Array.length m.tasks.(i).code in
-      check
-        (t.pc >= 0 && t.pc <= len)
-        (fun () ->
-          Printf.sprintf "%s pc %d outside [0,%d]" m.tasks.(i).task_name t.pc
-            len);
-      check (t.rem >= 0) (fun () ->
-          Printf.sprintf "%s negative remaining burst" m.tasks.(i).task_name))
-    st.tasks;
-  !fail
+(* A check raises the first failure, in the fixed order of its tests;
+   each message is built only once its condition has failed. *)
+exception Fail of string
+
+let fail fmt = Printf.ksprintf (fun msg -> raise (Fail msg)) fmt
+
+let first_failure check m st =
+  match check m st with () -> None | exception Fail msg -> Some msg
+
+let structure (m : Machine.t) (st : State.t) =
+  let runners = ref 0 in
+  for i = 0 to Array.length st.tasks - 1 do
+    match st.tasks.(i).mode with State.Run -> incr runners | _ -> ()
+  done;
+  if !runners > 1 then fail "%d tasks running at once" !runners;
+  for s = 0 to Array.length st.sem_val - 1 do
+    let v = st.sem_val.(s) in
+    if not (v >= 0 && v <= m.sem_initial.(s)) then
+      fail "sem %d value %d outside [0,%d]" m.sem_ids.(s) v m.sem_initial.(s);
+    if v <> 0 && State.has_waiter st.tasks Sem s then
+      fail "sem %d available (value %d) yet has waiters" m.sem_ids.(s) v;
+    match st.sem_holder.(s) with
+    | -1 -> ()
+    | h ->
+      if m.sem_initial.(s) <> 1 then
+        fail "counting sem %d has a tracked holder" m.sem_ids.(s);
+      if v <> 0 then fail "sem %d held yet value %d" m.sem_ids.(s) v;
+      if not (mem_int s st.tasks.(h).held) then
+        fail "sem %d holder %s does not list it as held" m.sem_ids.(s)
+          m.tasks.(h).task_name;
+      (match st.tasks.(h).mode with
+      | State.BSem s' when s' = s ->
+        fail "sem %d holder %s blocked on its own sem" m.sem_ids.(s)
+          m.tasks.(h).task_name
+      | _ -> ())
+  done;
+  for b = 0 to Array.length st.mb_occ - 1 do
+    let occ = st.mb_occ.(b) in
+    if not (occ >= 0 && occ <= m.mb_cap.(b)) then
+      fail "mailbox %d occupancy %d outside [0,%d]" m.mb_ids.(b) occ
+        m.mb_cap.(b);
+    if occ <> m.mb_cap.(b) && State.has_waiter st.tasks Send b then
+      fail "mailbox %d has blocked senders yet %d/%d slots" m.mb_ids.(b) occ
+        m.mb_cap.(b);
+    if occ <> 0 && State.has_waiter st.tasks Recv b then
+      fail "mailbox %d has blocked receivers yet occupancy %d" m.mb_ids.(b)
+        occ
+  done;
+  for w = 0 to Array.length st.wq_sig - 1 do
+    let n = st.wq_sig.(w) in
+    if n < 0 then fail "wait queue %d pending count %d" m.wq_ids.(w) n
+  done;
+  for i = 0 to Array.length st.tasks - 1 do
+    let t = st.tasks.(i) and len = Array.length m.tasks.(i).code in
+    if not (t.pc >= 0 && t.pc <= len) then
+      fail "%s pc %d outside [0,%d]" m.tasks.(i).task_name t.pc len;
+    if t.rem < 0 then fail "%s negative remaining burst" m.tasks.(i).task_name
+  done
 
 let invariants =
   {
     name = "invariants";
     doc = "structural kernel-state invariants hold everywhere";
     timing_sensitive = false;
-    on_state = invariants_state;
+    on_state = first_failure structure;
     on_note =
       (fun _ ~at:_ -> function
         | State.Fault msg -> Some msg
@@ -210,37 +222,31 @@ let tear =
 
 (* --- memory safety ---------------------------------------------------- *)
 
+let rec blocks_of p = function
+  | [] -> 0
+  | (q, n) :: tl -> if q = p then n else blocks_of p tl
+
+let pools (m : Machine.t) (st : State.t) =
+  for p = 0 to Array.length st.pool_occ - 1 do
+    let occ = st.pool_occ.(p) in
+    if not (occ >= 0 && occ <= m.pool_cap.(p)) then
+      fail "pool %d occupancy %d outside [0,%d]" m.pool_ids.(p) occ
+        m.pool_cap.(p);
+    let owned = ref 0 in
+    for i = 0 to Array.length st.tasks - 1 do
+      owned := !owned + blocks_of p st.tasks.(i).live
+    done;
+    if !owned <> occ then
+      fail "pool %d: tasks hold %d block(s) yet occupancy is %d" m.pool_ids.(p)
+        !owned occ
+  done
+
 let mem =
   {
     name = "mem";
     doc = "block pools never over-commit, deny, or leak";
     timing_sensitive = false;
-    on_state =
-      (fun m st ->
-        let fail = ref None in
-        let check cond msg =
-          if !fail = None && not cond then fail := Some (msg ())
-        in
-        Array.iteri
-          (fun p occ ->
-            check
-              (occ >= 0 && occ <= m.Machine.pool_cap.(p))
-              (fun () ->
-                Printf.sprintf "pool %d occupancy %d outside [0,%d]"
-                  m.Machine.pool_ids.(p) occ m.Machine.pool_cap.(p));
-            let owned =
-              Array.fold_left
-                (fun acc (t : State.tstate) ->
-                  acc
-                  + (match List.assoc_opt p t.live with Some n -> n | None -> 0))
-                0 st.tasks
-            in
-            check (owned = occ) (fun () ->
-                Printf.sprintf
-                  "pool %d: tasks hold %d block(s) yet occupancy is %d"
-                  m.Machine.pool_ids.(p) owned occ))
-          st.pool_occ;
-        !fail);
+    on_state = first_failure pools;
     on_note =
       (fun m ~at -> function
         | State.Oom { idx; pool } ->
@@ -276,14 +282,18 @@ let all = [ deadlock; pi; invariants; tear; mem; deadline ]
 let names = List.map (fun p -> p.name) all
 let by_name n = List.find_opt (fun p -> p.name = n) all
 
-let check_state props m st =
-  List.find_map
-    (fun p ->
-      match p.on_state m st with Some msg -> Some (p.name, msg) | None -> None)
-    props
+let rec check_state props m st =
+  match props with
+  | [] -> None
+  | p :: rest -> (
+    match p.on_state m st with
+    | Some msg -> Some (p.name, msg)
+    | None -> check_state rest m st)
 
-let check_note props m ~at n =
-  List.find_map
-    (fun p ->
-      match p.on_note m ~at n with Some msg -> Some (p.name, msg) | None -> None)
-    props
+let rec check_note props m ~at n =
+  match props with
+  | [] -> None
+  | p :: rest -> (
+    match p.on_note m ~at n with
+    | Some msg -> Some (p.name, msg)
+    | None -> check_note rest m ~at n)

@@ -11,6 +11,8 @@ type t = {
       (** verdict depends on execution-order timing, so the explorer
           must not apply partial-order reduction *)
   on_state : Machine.t -> State.t -> string option;
+      (** the state may be a view of the checker's working copy: read
+          it during the call, never keep it *)
   on_note : Machine.t -> at:int -> State.note -> string option;
 }
 

@@ -101,24 +101,41 @@ let init (m : Machine.t) =
       Array.map (fun (s : Machine.irq_src) -> Choose (s.min_ia, s.max_ia)) m.irqs;
   }
 
-let dispatch_key (m : Machine.t) st i =
-  let t = st.tasks.(i) in
-  match m.sched with Machine.Fp -> (t.eff, i) | Machine.Edf -> (t.effdl, i)
+type queue = Sem | Wq | Send | Recv
 
-let blocked_on pred m st =
+let dispatch_key (m : Machine.t) (t : tstate) =
+  match m.sched with Machine.Fp -> t.eff | Machine.Edf -> t.effdl
+
+let waits_on q x mode =
+  match (q, mode) with
+  | Sem, BSem s | Wq, (BWait s | BTimed (s, _)) | Send, BSend s | Recv, BRecv s
+    ->
+    s = x
+  | _ -> false
+
+(* [a] dispatches before [b]: smaller key, then smaller index *)
+let before m tasks a b =
+  let ka = dispatch_key m tasks.(a) and kb = dispatch_key m tasks.(b) in
+  ka < kb || (ka = kb && a < b)
+
+let waiters m tasks q x =
   let out = ref [] in
-  Array.iteri (fun i t -> if pred t.mode then out := i :: !out) st.tasks;
-  List.sort (fun a b -> compare (dispatch_key m st a) (dispatch_key m st b)) !out
+  for i = Array.length tasks - 1 downto 0 do
+    if waits_on q x tasks.(i).mode then out := i :: !out
+  done;
+  List.stable_sort (fun a b -> if before m tasks a b then -1 else 1) !out
 
-let sem_waiters m st s = blocked_on (function BSem x -> x = s | _ -> false) m st
+let first_waiter m tasks q x =
+  let best = ref (-1) in
+  for i = 0 to Array.length tasks - 1 do
+    if waits_on q x tasks.(i).mode && (!best < 0 || before m tasks i !best)
+    then best := i
+  done;
+  !best
 
-let wq_waiters m st w =
-  blocked_on (function BWait x | BTimed (x, _) -> x = w | _ -> false) m st
-
-let mb_senders m st b = blocked_on (function BSend x -> x = b | _ -> false) m st
-
-let mb_receivers m st b =
-  blocked_on (function BRecv x -> x = b | _ -> false) m st
+let has_waiter tasks q x =
+  let rec go i = i < Array.length tasks && (waits_on q x tasks.(i).mode || go (i + 1)) in
+  go 0
 
 (* Canonical encoding.  All absolute instants become offsets from
    [now]; the clock survives only as its residue modulo the
@@ -128,57 +145,75 @@ let mb_receivers m st b =
    affects the future.  Job release times are dropped entirely: they
    feed only the response-time notes. *)
 
-let rel_t now t = if t = max_int then max_int else t - now
+(* zigzag maps the signed word onto the unsigned one (0, -1, 1, -2, ...
+   -> 0, 1, 2, 3, ...), a bijection on 63-bit words; LEB128 then writes
+   7 bits per byte, high bit set on every byte but the last *)
+let add_int b n =
+  let z = ref ((n lsl 1) lxor (n asr (Sys.int_size - 1))) in
+  while !z lsr 7 <> 0 do
+    Buffer.add_char b (Char.unsafe_chr (!z land 0x7f lor 0x80));
+    z := !z lsr 7
+  done;
+  Buffer.add_char b (Char.unsafe_chr !z)
 
-let canon_nr now = function
-  | At t -> (0, t - now, 0)
-  | Never -> (1, 0, 0)
-  | Choose (lo, hi) -> (2, max lo now - now, max hi now - now)
+let add_ints b f l =
+  add_int b (List.length l);
+  List.iter (fun x -> add_int b (f x)) l
 
-let canon_mode now = function
-  | Idle -> (0, 0, 0)
-  | Ready -> (1, 0, 0)
-  | Run -> (2, 0, 0)
-  | BSem s -> (3, s, 0)
-  | BWait w -> (4, w, 0)
-  | BTimed (w, t) -> (5, w, t - now)
-  | BDelay t -> (6, t - now, 0)
-  | BSend b -> (7, b, 0)
-  | BRecv b -> (8, b, 0)
+let add_time b now t = add_int b (if t = max_int then max_int else t - now)
+
+let add_nr b now = function
+  | At t ->
+    add_int b 0;
+    add_int b (t - now)
+  | Never -> add_int b 1
+  | Choose (lo, hi) ->
+    add_int b 2;
+    add_int b (max lo now - now);
+    add_int b (max hi now - now)
+
+let add_mode b now = function
+  | Idle -> add_int b 0
+  | Ready -> add_int b 1
+  | Run -> add_int b 2
+  | BSem s -> add_int b 3; add_int b s
+  | BWait w -> add_int b 4; add_int b w
+  | BTimed (w, t) -> add_int b 5; add_int b w; add_int b (t - now)
+  | BDelay t -> add_int b 6; add_int b (t - now)
+  | BSend x -> add_int b 7; add_int b x
+  | BRecv x -> add_int b 8; add_int b x
 
 let key (m : Machine.t) st =
   let now = st.now in
-  let task (i : int) (t : tstate) =
-    let read_delta =
-      if t.read_sm < 0 then -1
-      else min (st.sm_seq.(t.read_sm) - t.read_seq) m.sm_depth.(t.read_sm)
-    in
-    ( canon_mode now t.mode,
-      t.pc,
-      t.rem,
-      rel_t now t.dl,
-      rel_t now t.effdl,
-      t.eff,
-      t.inh,
-      t.held,
-      canon_nr now t.next_rel,
-      List.map (fun r -> r - now) t.pending,
-      rel_t now t.dl_check,
-      (t.read_sm, read_delta),
-      t.live,
-      i )
-  in
-  let v =
-    ( now mod m.hyperperiod,
-      Array.to_list (Array.mapi task st.tasks),
-      Array.to_list st.sem_val,
-      Array.to_list st.sem_holder,
-      Array.to_list st.wq_sig,
-      Array.to_list st.mb_occ,
-      Array.to_list st.pool_occ,
-      Array.to_list (Array.map (canon_nr now) st.irq_next) )
-  in
-  Marshal.to_string v []
+  let b = Buffer.create (32 + (24 * Array.length st.tasks)) in
+  add_int b (now mod m.hyperperiod);
+  Array.iter
+    (fun t ->
+      add_mode b now t.mode;
+      add_int b t.pc;
+      add_int b t.rem;
+      add_time b now t.dl;
+      add_time b now t.effdl;
+      add_int b t.eff;
+      add_int b (Bool.to_int t.inh);
+      add_ints b Fun.id t.held;
+      add_nr b now t.next_rel;
+      add_ints b (fun r -> r - now) t.pending;
+      add_time b now t.dl_check;
+      add_int b t.read_sm;
+      if t.read_sm >= 0 then
+        add_int b
+          (min (st.sm_seq.(t.read_sm) - t.read_seq) m.sm_depth.(t.read_sm));
+      add_int b (List.length t.live);
+      List.iter (fun (p, n) -> add_int b p; add_int b n) t.live)
+    st.tasks;
+  Array.iter (add_int b) st.sem_val;
+  Array.iter (add_int b) st.sem_holder;
+  Array.iter (add_int b) st.wq_sig;
+  Array.iter (add_int b) st.mb_occ;
+  Array.iter (add_int b) st.pool_occ;
+  Array.iter (add_nr b now) st.irq_next;
+  Buffer.contents b
 
 let pp_mode (m : Machine.t) fmt = function
   | Idle -> Format.pp_print_string fmt "idle"

@@ -15,8 +15,25 @@
     The canonical encoding rebases every absolute instant to the
     current virtual time and keeps only the clock's residue modulo the
     hyperperiod, so states one hyperperiod apart with identical futures
-    coincide.  Keys are the exact marshalled bytes of the canonical
-    value — pruning never suffers hash-collision unsoundness. *)
+    coincide.  {!key} writes that canonical value straight into a byte
+    string: every int as a zigzag LEB128 varint (self-delimiting, any
+    sign or magnitude, [max_int] included), every variable-length list
+    ([held], [pending], [live]) prefixed with its length, every variant
+    as a tag followed by exactly the fields that tag carries.  The
+    fields appear in a fixed order and every array has the length the
+    machine fixes, so the byte string is a prefix-free code for the
+    canonical value: within one machine two states get equal keys
+    exactly when their canonical values are equal.  Pruning is exact —
+    no hash can collide it into unsoundness.
+
+    A [t] is never mutated once built, so many holders may share one.
+    The transition relation ({!Step}) works on a private mutable copy;
+    its per-micro-step property probe sees a [t] whose arrays {e are}
+    that working copy's (a read-only view, valid only during the
+    probe), and only the state at a decision point is copied out.  The
+    explorer's stack holds [(parent state, choice)] frames: all the
+    children of one decision point share the parent, and each child's
+    choice is applied inside its own expansion's working copy. *)
 
 (** Next arrival of a release or interrupt source. *)
 type nr =
@@ -94,22 +111,30 @@ val init : Machine.t -> t
     interrupt sources start [Choose]-unresolved. *)
 
 val key : Machine.t -> t -> string
-(** Canonical encoding (marshalled bytes) for the visited set. *)
+(** Canonical encoding for the visited set (see above). *)
 
-val dispatch_key : Machine.t -> t -> int -> int * int
-(** The scheduler ordering key of a task: [(eff, idx)] under FP,
-    [(effdl, idx)] under EDF.  Smaller dispatches first. *)
+(** The kernel queues a blocked task can sit on. *)
+type queue =
+  | Sem  (** [BSem] *)
+  | Wq  (** [BWait] or [BTimed] *)
+  | Send  (** [BSend] *)
+  | Recv  (** [BRecv] *)
 
-val sem_waiters : Machine.t -> t -> int -> int list
-(** Tasks blocked on a semaphore, best {!dispatch_key} first.
-    Derived from task modes, not stored — queue order cannot drift
-    out of sync with the modes. *)
+val dispatch_key : Machine.t -> tstate -> int
+(** The scheduler key of a task: [eff] under FP, [effdl] under EDF.
+    Smaller dispatches first; equal keys fall back to the lower task
+    index. *)
 
-val wq_waiters : Machine.t -> t -> int -> int list
-(** Tasks blocked (plain or timed) on a wait queue, same order. *)
+val waiters : Machine.t -> tstate array -> queue -> int -> int list
+(** Tasks blocked on queue object [x], best {!dispatch_key} first.
+    Derived from task modes, not stored — queue order cannot drift out
+    of sync with the modes. *)
 
-val mb_senders : Machine.t -> t -> int -> int list
-val mb_receivers : Machine.t -> t -> int -> int list
+val first_waiter : Machine.t -> tstate array -> queue -> int -> int
+(** The head of {!waiters}, or [-1]; allocates nothing. *)
+
+val has_waiter : tstate array -> queue -> int -> bool
+(** [waiters <> []], without building the list. *)
 
 val pp : Machine.t -> Format.formatter -> t -> unit
 val pp_note : Machine.t -> Format.formatter -> note -> unit

@@ -17,7 +17,7 @@ exception Stop_violation of string * string
 
 (* Mutable working copy of a state.  [tstate] records stay immutable
    and are replaced wholesale per index, so freezing is just copying
-   the spine arrays. *)
+   the spine arrays, and a read-only [State.t] view can share them. *)
 type ctx = {
   m : Machine.t;
   mutable now : int;
@@ -30,11 +30,11 @@ type ctx = {
   pool_occ : int array;
   irq_next : nr array;
   mutable notes : (int * note) list; (* reversed *)
-  trace : int -> Sim.Trace.entry -> unit;
+  trace : (int -> Sim.Trace.entry -> unit) option;
   mutable on_note : at:int -> note -> unit;
 }
 
-let thaw ?(emit = fun _ _ -> ()) m (st : State.t) =
+let thaw ?emit m (st : State.t) =
   {
     m;
     now = st.now;
@@ -49,6 +49,21 @@ let thaw ?(emit = fun _ _ -> ()) m (st : State.t) =
     notes = [];
     trace = emit;
     on_note = (fun ~at:_ _ -> ());
+  }
+
+(* The working copy as a [State.t] without copying: valid only until
+   the next mutation, so only for read-only probes. *)
+let view c : State.t =
+  {
+    now = c.now;
+    tasks = c.tasks;
+    sem_val = c.sem_val;
+    sem_holder = c.sem_holder;
+    wq_sig = c.wq_sig;
+    mb_occ = c.mb_occ;
+    sm_seq = c.sm_seq;
+    pool_occ = c.pool_occ;
+    irq_next = c.irq_next;
   }
 
 let freeze c : State.t =
@@ -66,7 +81,8 @@ let freeze c : State.t =
 
 let set c i t = c.tasks.(i) <- t
 let tid c i = c.m.tasks.(i).tid
-let emit c e = c.trace c.now e
+let emit c e = match c.trace with Some f -> f c.now e | None -> ()
+let tracing c = Option.is_some c.trace
 
 let note c n =
   c.notes <- (c.now, n) :: c.notes;
@@ -78,28 +94,13 @@ let job_no c i =
   | Machine.Periodic -> ((c.tasks.(i).rel - mt.phase) / mt.period) + 1
   | Machine.Sporadic _ -> 0
 
-let dispatch_key c i =
-  let t = c.tasks.(i) in
-  match c.m.sched with Machine.Fp -> t.eff | Machine.Edf -> t.effdl
+let sem_waiters c s = State.waiters c.m c.tasks Sem s
+let wq_waiters c w = State.waiters c.m c.tasks Wq w
 
-let blocked_on c pred =
-  let out = ref [] in
-  Array.iteri (fun i t -> if pred t.mode then out := i :: !out) c.tasks;
-  List.sort
-    (fun a b -> compare (dispatch_key c a, a) (dispatch_key c b, b))
-    !out
-
-let sem_waiters c s = blocked_on c (function BSem x -> x = s | _ -> false)
-
-let wq_waiters c w =
-  blocked_on c (function BWait x | BTimed (x, _) -> x = w | _ -> false)
-
-let mb_senders c b = blocked_on c (function BSend x -> x = b | _ -> false)
-let mb_receivers c b = blocked_on c (function BRecv x -> x = b | _ -> false)
-
+(* the running task, or -1 *)
 let running c =
-  let r = ref None in
-  Array.iteri (fun i t -> if t.mode = Run then r := Some i) c.tasks;
+  let r = ref (-1) in
+  Array.iteri (fun i t -> match t.mode with Run -> r := i | _ -> ()) c.tasks;
   !r
 
 let rec remove_first x = function
@@ -156,7 +157,7 @@ let begin_job c i ~release =
   set c i
     {
       t with
-      mode = (if t.mode = Idle then Ready else t.mode);
+      mode = (match t.mode with Idle -> Ready | md -> md);
       pc = 0;
       rem = 0;
       rel = release;
@@ -221,9 +222,9 @@ let wake c i =
   emit c (Sim.Trace.Thread_unblock { tid = tid c i })
 
 let do_signal c w =
-  match wq_waiters c w with
-  | [] -> c.wq_sig.(w) <- c.wq_sig.(w) + 1
-  | i :: _ -> wake c i
+  match State.first_waiter c.m c.tasks Wq w with
+  | -1 -> c.wq_sig.(w) <- c.wq_sig.(w) + 1
+  | i -> wake c i
 
 let do_broadcast c w = List.iter (wake c) (wq_waiters c w)
 
@@ -331,40 +332,49 @@ let next_event_time c =
 type picked = PRun of int | PTie of int list | PIdle
 
 let pick c =
-  let cands = ref [] in
-  Array.iteri
-    (fun i (t : tstate) ->
-      match t.mode with Ready | Run -> cands := i :: !cands | _ -> ())
-    c.tasks;
-  match !cands with
-  | [] -> PIdle
-  | cands ->
-    let mink =
-      List.fold_left (fun k i -> min k (dispatch_key c i)) max_int cands
-    in
-    let best =
-      List.sort compare (List.filter (fun i -> dispatch_key c i = mink) cands)
-    in
-    (* the incumbent keeps the CPU on equal keys (no preemption
-       without a strictly better key — the kernel behaves the same) *)
-    let incumbent =
-      match running c with Some r when List.mem r best -> Some r | None | Some _ -> None
-    in
-    (match (incumbent, best) with
-    | Some r, _ -> PRun r
-    | None, [ i ] -> PRun i
-    | None, best -> PTie best)
+  let n = Array.length c.tasks in
+  let cands = ref 0 and mink = ref 0 and first = ref (-1) and run = ref (-1) in
+  for i = 0 to n - 1 do
+    match c.tasks.(i).mode with
+    | (Ready | Run) as md ->
+      let k = State.dispatch_key c.m c.tasks.(i) in
+      if !cands = 0 || k < !mink then begin
+        mink := k;
+        first := i;
+        cands := 1
+      end
+      else if k = !mink then incr cands;
+      (match md with Run -> run := i | _ -> ())
+    | _ -> ()
+  done;
+  if !cands = 0 then PIdle
+  (* the incumbent keeps the CPU on equal keys (no preemption without a
+     strictly better key — the kernel behaves the same) *)
+  else if !run >= 0 && State.dispatch_key c.m c.tasks.(!run) = !mink then
+    PRun !run
+  else if !cands = 1 then PRun !first
+  else begin
+    let best = ref [] in
+    for i = n - 1 downto 0 do
+      match c.tasks.(i).mode with
+      | Ready | Run when State.dispatch_key c.m c.tasks.(i) = !mink ->
+        best := i :: !best
+      | _ -> ()
+    done;
+    PTie !best
+  end
 
 let dispatch c i =
   let prev = running c in
-  if prev <> Some i then begin
-    (match prev with
-    | Some p -> set c p { (c.tasks.(p)) with mode = Ready }
-    | None -> ());
+  if prev <> i then begin
+    if prev >= 0 then set c prev { (c.tasks.(prev)) with mode = Ready };
     set c i { (c.tasks.(i)) with mode = Run };
     emit c
       (Sim.Trace.Context_switch
-         { from_tid = Option.map (tid c) prev; to_tid = Some (tid c i) })
+         {
+           from_tid = (if prev < 0 then None else Some (tid c prev));
+           to_tid = Some (tid c i);
+         })
   end
 
 (* --- instruction execution ------------------------------------------ *)
@@ -476,16 +486,8 @@ let exec_instr c i ~horizon =
       do_broadcast c w;
       `Ok
     | Machine.ISend b ->
-      (match mb_receivers c b with
-      | r :: _ ->
-        (* a blocked receiver takes delivery directly *)
-        set c i { t with pc = t.pc + 1 };
-        emit c (Sim.Trace.Msg_sent { tid = tid c i; mailbox = c.m.mb_ids.(b); words = 0 });
-        wake c r;
-        emit c
-          (Sim.Trace.Msg_received
-             { tid = tid c r; mailbox = c.m.mb_ids.(b); words = 0; queued_for = 0 })
-      | [] ->
+      (match State.first_waiter c.m c.tasks Recv b with
+      | -1 ->
         if c.mb_occ.(b) < c.m.mb_cap.(b) then begin
           c.mb_occ.(b) <- c.mb_occ.(b) + 1;
           set c i { t with pc = t.pc + 1 };
@@ -495,7 +497,15 @@ let exec_instr c i ~horizon =
         else begin
           set c i { t with mode = BSend b };
           emit c (Sim.Trace.Thread_block { tid = tid c i; reason = "mailbox" })
-        end);
+        end
+      | r ->
+        (* a blocked receiver takes delivery directly *)
+        set c i { t with pc = t.pc + 1 };
+        emit c (Sim.Trace.Msg_sent { tid = tid c i; mailbox = c.m.mb_ids.(b); words = 0 });
+        wake c r;
+        emit c
+          (Sim.Trace.Msg_received
+             { tid = tid c r; mailbox = c.m.mb_ids.(b); words = 0; queued_for = 0 }));
       `Ok
     | Machine.IRecv b ->
       if c.mb_occ.(b) > 0 then begin
@@ -505,27 +515,27 @@ let exec_instr c i ~horizon =
           (Sim.Trace.Msg_received
              { tid = tid c i; mailbox = c.m.mb_ids.(b); words = 0; queued_for = 0 });
         (* a freed slot admits the best blocked sender's message *)
-        (match mb_senders c b with
-        | s :: _ ->
+        match State.first_waiter c.m c.tasks Send b with
+        | -1 -> ()
+        | s ->
           c.mb_occ.(b) <- c.mb_occ.(b) + 1;
           wake c s;
           emit c
             (Sim.Trace.Msg_sent
                { tid = tid c s; mailbox = c.m.mb_ids.(b); words = 0 })
-        | [] -> ())
       end
       else begin
-        match mb_senders c b with
-        | s :: _ ->
+        match State.first_waiter c.m c.tasks Send b with
+        | -1 ->
+          set c i { t with mode = BRecv b };
+          emit c (Sim.Trace.Thread_block { tid = tid c i; reason = "mailbox" })
+        | s ->
           (* zero-capacity rendezvous *)
           set c i { t with pc = t.pc + 1 };
           wake c s;
           emit c
             (Sim.Trace.Msg_received
                { tid = tid c i; mailbox = c.m.mb_ids.(b); words = 0; queued_for = 0 })
-        | [] ->
-          set c i { t with mode = BRecv b };
-          emit c (Sim.Trace.Thread_block { tid = tid c i; reason = "mailbox" })
       end;
       `Ok
     | Machine.ISwrite sm ->
@@ -637,29 +647,10 @@ let rec crank ~horizon ~probe c =
              completion is zero-time, so deferring it to the next
              dispatch would inflate the measured response. *)
           let t = c.tasks.(i) in
-          if t.mode = Run && t.pc >= Array.length c.m.tasks.(i).code then
-            job_complete c i;
+          (match t.mode with
+          | Run when t.pc >= Array.length c.m.tasks.(i).code -> job_complete c i
+          | _ -> ());
           crank ~horizon ~probe c)))
-
-let expand ?emit ?(check = fun _ -> None)
-    ?(check_note = fun ~at:_ _ -> None) ~horizon m st =
-  let c = thaw ?emit m st in
-  c.on_note <-
-    (fun ~at n ->
-      match check_note ~at n with
-      | Some (p, msg) -> raise (Stop_violation (p, msg))
-      | None -> ());
-  let probe c =
-    match check (freeze c) with
-    | Some (p, msg) -> raise (Stop_violation (p, msg))
-    | None -> ()
-  in
-  let next, violation =
-    match crank ~horizon ~probe c with
-    | r -> (r, None)
-    | exception Stop_violation (p, msg) -> (`Leaf, Some (p, msg, c.now))
-  in
-  { state = freeze c; notes = List.rev c.notes; violation; next }
 
 let pp_choice (m : Machine.t) fmt = function
   | Arm_irq { src; at } ->
@@ -675,22 +666,48 @@ let pp_choice (m : Machine.t) fmt = function
 
 let choice_to_string m c = Format.asprintf "%a" (pp_choice m) c
 
-let apply ?emit m st choice =
-  let c = thaw ?emit m st in
-  c.trace c.now (Sim.Trace.Note ("choice: " ^ choice_to_string m choice));
-  (match choice with
+(* Commit [choice] to the working copy.  Applying a choice never
+   advances time; the crank that follows does. *)
+let apply c choice =
+  if tracing c then
+    emit c (Sim.Trace.Note ("choice: " ^ choice_to_string c.m choice));
+  match choice with
   | Arm_irq { src; at } -> c.irq_next.(src) <- At at
-  | Arm_task { idx; at } ->
-    set c idx { (c.tasks.(idx)) with next_rel = at }
+  | Arm_task { idx; at } -> set c idx { (c.tasks.(idx)) with next_rel = at }
   | Tie i -> dispatch c i
   | Take_branch { idx; taken } ->
     let t = c.tasks.(idx) in
     let target =
       match c.m.tasks.(idx).code.(t.pc) with
       | Machine.IBr_input target -> target
-      | _ -> invalid_arg "Mc.Step.apply: Take_branch at a non-branch pc"
+      | _ -> invalid_arg "Mc.Step.expand: Take_branch at a non-branch pc"
     in
-    c.trace c.now
-      (Sim.Trace.Branch { tid = tid c idx; pc = t.pc; idx = t.brs; taken });
-    set c idx { t with pc = (if taken then t.pc + 1 else target); brs = t.brs + 1 });
-  freeze c
+    if tracing c then
+      emit c (Sim.Trace.Branch { tid = tid c idx; pc = t.pc; idx = t.brs; taken });
+    set c idx
+      { t with pc = (if taken then t.pc + 1 else target); brs = t.brs + 1 }
+
+let expand ?emit ?check ?(check_note = fun ~at:_ _ -> None) ?choice ~horizon
+    m st =
+  let c = thaw ?emit m st in
+  c.on_note <-
+    (fun ~at n ->
+      match check_note ~at n with
+      | Some (p, msg) -> raise (Stop_violation (p, msg))
+      | None -> ());
+  let probe =
+    match check with
+    | None -> fun _ -> ()
+    | Some check -> (
+      fun c ->
+        match check (view c) with
+        | Some (p, msg) -> raise (Stop_violation (p, msg))
+        | None -> ())
+  in
+  Option.iter (apply c) choice;
+  let next, violation =
+    match crank ~horizon ~probe c with
+    | r -> (r, None)
+    | exception Stop_violation (p, msg) -> (`Leaf, Some (p, msg, c.now))
+  in
+  { state = freeze c; notes = List.rev c.notes; violation; next }

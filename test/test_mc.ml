@@ -389,6 +389,381 @@ let branch_fork_and_replay () =
     check "replay reproduces the exact taken path" true
       (recorded = [ (1, 0, true) ])
 
+(* --- exploration parity ---------------------------------------------- *)
+
+(* One generated scenario per (family, task count), checked with the
+   campaign's bounds and properties.  The figures are pinned: a change
+   to how the checker steps, probes or keys states must explore exactly
+   the same space. *)
+
+let campaign_props =
+  [ Mc.Props.deadlock; Mc.Props.pi; Mc.Props.invariants; Mc.Props.tear; Mc.Props.mem ]
+
+let generated family n =
+  let spec =
+    List.hd (Workload.Generator.scenario_specs ~seed:13 ~count:1 ~family ~n ())
+  in
+  let sporadic =
+    List.filter_map
+      (fun (t : Workload.Generator.task_spec) ->
+        if t.g_sporadic then Some (t.g_id, t.g_period, t.g_period * 5 / 4)
+        else None)
+      spec.s_tasks
+  in
+  let sc = Workload.Generator.realize spec in
+  let m = Mc.Machine.of_scenario ~sporadic sc in
+  let maxp =
+    Array.fold_left
+      (fun a (t : Model.Task.t) -> max a t.period)
+      0
+      (Model.Taskset.tasks sc.taskset)
+  in
+  let horizon = min m.hyperperiod (min (2 * maxp) (ms 1000)) in
+  (m, { Mc.Explorer.horizon; max_states = 4000; max_depth = 2000 })
+
+let result_row name (r : Mc.Explorer.result) =
+  Printf.sprintf "%s %s exp=%d dist=%d rev=%d por=%d trunc=%b jobs=%d resp=%s"
+    name
+    (match r.verdict with `Ok -> "ok" | `Violation c -> "violation:" ^ c.prop)
+    r.expansions r.distinct r.revisits r.por_skipped r.truncated r.jobs
+    (String.concat "," (Array.to_list (Array.map string_of_int r.max_response)))
+
+let parity_rows =
+  [
+    "generic/3 ok exp=557 dist=278 rev=232 por=0 trunc=false jobs=587 resp=8020952,12861889,48930999";
+    "generic/4 ok exp=4000 dist=2107 rev=1832 por=0 trunc=true jobs=800 resp=80000000,5163653,0,7029885";
+    "generic/5 ok exp=1829 dist=914 rev=845 por=0 trunc=false jobs=7714 resp=1968297,3500292,3519558,67903892,87518274";
+    "generic/6 ok exp=1 dist=0 rev=0 por=0 trunc=false jobs=243 resp=108594,2488301,29097419,427488301,13918235,88667080";
+    "generic/7 ok exp=4000 dist=2041 rev=1835 por=0 trunc=true jobs=6978 resp=562515,2945366,7137508,5876274,0,49140877,87334644";
+    "generic/8 ok exp=4000 dist=2080 rev=1905 por=0 trunc=true jobs=3403 resp=239550,1478901,2291554,0,187291554,13723919,14703021,145683977";
+    "automotive/3 ok exp=4000 dist=2007 rev=1822 por=0 trunc=true jobs=516 resp=0,1066440,4629000";
+    "automotive/4 ok exp=4000 dist=2017 rev=1805 por=0 trunc=true jobs=1416 resp=1184339,0,2169304,24086491";
+    "automotive/5 ok exp=4000 dist=2008 rev=1552 por=0 trunc=true jobs=2735 resp=327513,2415217,5472361,32556259,34262002";
+    "automotive/6 ok exp=4000 dist=2011 rev=1832 por=0 trunc=true jobs=2387 resp=1977366,2895530,2974568,8465703,19348947,0";
+    "automotive/7 ok exp=89 dist=44 rev=27 por=0 trunc=false jobs=324 resp=772342,8068202,8078202,9596388,16647322,19312599,29688706";
+    "automotive/8 ok exp=1887 dist=943 rev=857 por=0 trunc=false jobs=1710 resp=600005,3550594,3733205,4108238,19215505,24716375,31622519,31635919";
+    "avionics/3 ok exp=1126 dist=562 rev=450 por=0 trunc=false jobs=30 resp=0,14312943,25688803";
+    "avionics/4 ok exp=1090 dist=544 rev=432 por=0 trunc=false jobs=156 resp=23780789,27711952,0,96459576";
+    "avionics/5 ok exp=421 dist=210 rev=172 por=0 trunc=false jobs=99 resp=6744867,20419414,41269362,140022668,144184354";
+    "avionics/6 ok exp=1456 dist=727 rev=612 por=0 trunc=false jobs=468 resp=114924344,39708225,53958320,62068785,89782236,0";
+    "avionics/7 ok exp=97 dist=48 rev=30 por=0 trunc=false jobs=77 resp=90931343,15921343,21984890,87412072,125358418,129965029,140622737";
+    "avionics/8 ok exp=311 dist=155 rev=147 por=0 trunc=false jobs=190 resp=209064,672955,12673059,67236580,97404034,115647622,115689022,139176513";
+    "robotics/3 ok exp=4 dist=1 rev=0 por=0 trunc=false jobs=0 resp=0,0,0";
+    "robotics/4 ok exp=208 dist=103 rev=57 por=0 trunc=false jobs=231 resp=4202196,0,1558275,15331311";
+    "robotics/5 ok exp=919 dist=459 rev=400 por=0 trunc=false jobs=693 resp=257010,1917173,3820627,21487190,22549665";
+    "robotics/6 ok exp=1186 dist=592 rev=540 por=0 trunc=false jobs=1458 resp=1597730,2234367,2264367,7004765,14628569,0";
+    "robotics/7 ok exp=1 dist=0 rev=0 por=0 trunc=false jobs=31 resp=628153,6471280,6481280,7452919,11595072,15511438,15349853";
+    "robotics/8 ok exp=1 dist=0 rev=0 por=0 trunc=false jobs=35 resp=477004,2837475,2964364,4529894,13771979,14653263,22002082,22032082";
+    "generic/5 no-por ok exp=1829 dist=914 rev=845 por=0 trunc=false jobs=7714 resp=1968297,3500292,3519558,67903892,87518274";
+    "avionics/4 seed=7 ok exp=1090 dist=544 rev=432 por=0 trunc=false jobs=156 resp=23780789,27711952,0,96459576";
+    "automotive/5 seed=3 ok exp=4000 dist=2011 rev=1545 por=0 trunc=true jobs=2712 resp=327513,2415217,5472361,32556259,34262002";
+  ]
+
+let exploration_parity () =
+  let open Workload.Generator in
+  let run ?por ?seed family n suffix =
+    let m, bounds = generated family n in
+    result_row
+      (Printf.sprintf "%s/%d%s" (family_name family) n suffix)
+      (Mc.Explorer.check ?por ?seed ~props:campaign_props ~bounds m)
+  in
+  let rows =
+    List.concat_map
+      (fun family -> List.init 6 (fun k -> run family (k + 3) ""))
+      families
+    @ [
+        run ~por:false Generic 5 " no-por";
+        run ~seed:7 Avionics 4 " seed=7";
+        run ~seed:3 Automotive 5 " seed=3";
+      ]
+  in
+  List.iter2 (fun want got -> Alcotest.(check string) want want got) parity_rows rows
+
+(* The tear witness, rendered: choices, their replayed [choice:] notes
+   and the schedule must not move either. *)
+let rendered_counterexample () =
+  let props = [ Mc.Props.tear ] in
+  let m = Mc.Machine.of_scenario ~read_span:(ms 1) (tear_scenario ~depth:3) in
+  let bounds =
+    { Mc.Explorer.horizon = min m.hyperperiod (ms 2); max_states = 20_000;
+      max_depth = 1_000 }
+  in
+  match (Mc.Explorer.check ~props ~bounds m).verdict with
+  | `Ok -> Alcotest.fail "depth 3 must admit a torn read"
+  | `Violation cex ->
+    let sm = m.sm_ids.(0) in
+    let want =
+      String.concat "\n"
+        [
+          {|property "tear" violated at t=1000000ns (horizon 2000000ns)|};
+          Printf.sprintf
+            "  reader read state msg %d torn: 2 writes completed mid-read \
+             (depth 3 admits at most 1)"
+            sm;
+          "";
+          "nondeterministic choices along the witness:";
+          "   1. irq1 arrives at 500000ns";
+          "   2. irq1 arrives at 1000000ns";
+          "   3. irq1 arrives at 1500000ns";
+          "";
+          "schedule:";
+          "       0.000ms  note      choice: irq1 arrives at 500000ns";
+          "       0.000ms  release   tau1#1 (deadline 10.000ms)";
+          "       0.000ms  switch    idle -> tau1";
+          "       0.500ms  interrupt irq1";
+          Printf.sprintf "       0.500ms  st-write  tau-1 state%d seq=1" sm;
+          "       0.500ms  note      choice: irq1 arrives at 1000000ns";
+          "       1.000ms  interrupt irq1";
+          Printf.sprintf "       1.000ms  st-write  tau-1 state%d seq=2" sm;
+          "       1.000ms  note      choice: irq1 arrives at 1500000ns";
+          Printf.sprintf "       1.000ms  st-read   tau1 state%d seq=2" sm;
+          "";
+        ]
+    in
+    Alcotest.(check string) "render" want (Mc.Counterexample.render m ~props cex)
+
+(* --- key soundness ---------------------------------------------------- *)
+
+(* The canonical value as a plain tuple, the reference the byte
+   encoding must agree with: equal keys exactly when these values are
+   equal. *)
+let reference_canon (m : Mc.Machine.t) (st : Mc.State.t) =
+  let open Mc.State in
+  let now = st.now in
+  let rel_t t = if t = max_int then max_int else t - now in
+  let canon_nr = function
+    | At t -> (0, t - now, 0)
+    | Never -> (1, 0, 0)
+    | Choose (lo, hi) -> (2, max lo now - now, max hi now - now)
+  in
+  let canon_mode = function
+    | Idle -> (0, 0, 0)
+    | Ready -> (1, 0, 0)
+    | Run -> (2, 0, 0)
+    | BSem s -> (3, s, 0)
+    | BWait w -> (4, w, 0)
+    | BTimed (w, t) -> (5, w, t - now)
+    | BDelay t -> (6, t - now, 0)
+    | BSend b -> (7, b, 0)
+    | BRecv b -> (8, b, 0)
+  in
+  let task i t =
+    let read_delta =
+      if t.read_sm < 0 then -1
+      else min (st.sm_seq.(t.read_sm) - t.read_seq) m.sm_depth.(t.read_sm)
+    in
+    ( canon_mode t.mode,
+      t.pc,
+      t.rem,
+      rel_t t.dl,
+      rel_t t.effdl,
+      t.eff,
+      t.inh,
+      t.held,
+      canon_nr t.next_rel,
+      List.map (fun r -> r - now) t.pending,
+      rel_t t.dl_check,
+      (t.read_sm, read_delta),
+      t.live,
+      i )
+  in
+  ( now mod m.hyperperiod,
+    Array.to_list (Array.mapi task st.tasks),
+    Array.to_list st.sem_val,
+    Array.to_list st.sem_holder,
+    Array.to_list st.wq_sig,
+    Array.to_list st.mb_occ,
+    Array.to_list st.pool_occ,
+    Array.to_list (Array.map canon_nr st.irq_next) )
+
+(* Every state an unpruned DFS expands (revisits included, so equal
+   canonical values recur as distinct values), up to [cap]. *)
+let collect_states ~horizon m =
+  let cap = 500 in
+  let out = ref [] and n = ref 0 in
+  let rec go st choice depth =
+    if !n < cap then begin
+      let e = Mc.Step.expand ?choice ~horizon m st in
+      out := e.state :: !out;
+      incr n;
+      match e.next with
+      | `Branch cs when depth < 30 ->
+        List.iter (fun c -> go e.state (Some c) (depth + 1)) cs
+      | _ -> ()
+    end
+  in
+  go (Mc.State.init m) None 0;
+  Array.of_list !out
+
+let key_machines =
+  lazy
+    (let preset name = Mc.Machine.of_scenario (Option.get (Workload.Scenario.make name)) in
+     let tear = Mc.Machine.of_scenario ~read_span:(ms 1) (tear_scenario ~depth:3) in
+     let gen f n = fst (generated f n) in
+     List.map
+       (fun (m, horizon) -> (m, collect_states ~horizon m))
+       [
+         (preset "engine", ms 40);
+         (preset "branchy", ms 100);
+         (tear, ms 2);
+         (gen Workload.Generator.Avionics 4, ms 300);
+         (gen Workload.Generator.Automotive 5, ms 100);
+       ]
+     |> Array.of_list)
+
+(* Over the collected states, the partition by key must be the
+   partition by reference value — and must not be all singletons. *)
+let key_partition () =
+  Array.iter
+    (fun (m, states) ->
+      let by_key = Hashtbl.create 64 and by_ref = Hashtbl.create 64 in
+      Array.iter
+        (fun st ->
+          let k = Mc.State.key m st and r = reference_canon m st in
+          (match Hashtbl.find_opt by_key k with
+          | Some r' -> check "equal keys, equal canonical values" true (r = r')
+          | None -> Hashtbl.add by_key k r);
+          match Hashtbl.find_opt by_ref r with
+          | Some k' -> check "equal canonical values, equal keys" true (k = k')
+          | None -> Hashtbl.add by_ref r k)
+        states;
+      check
+        (Printf.sprintf "%s: some states recur" m.Mc.Machine.model_name)
+        true
+        (Hashtbl.length by_key < Array.length states))
+    (Lazy.force key_machines)
+
+(* Hand-built edits that stress the encoding: [max_int] and negative
+   offsets, windows clamped at [now], list boundaries that would line
+   up in a concatenation without length prefixes, and fields the key
+   deliberately ignores. *)
+type edit =
+  | Dl_check of int * int option  (** task, offset from now; None = max_int *)
+  | Pending of int * int list  (** offsets from now, negative = backlog *)
+  | Window of int * int * int  (** task's Choose window, offsets from now *)
+  | Next_at of int * int  (** task's next release, offset from now *)
+  | Split of int * int list * int  (** held = prefix, pending = the rest *)
+  | Live of int * (int * int) list
+  | Inh of int * bool
+  | Irq_window of int * int * int
+  | Rel of int * int  (** job release: not part of the key *)
+  | Brs of int * int  (** branch counter: not part of the key *)
+
+let apply_edit (st : Mc.State.t) e =
+  let open Mc.State in
+  let tasks = Array.copy st.tasks and irq_next = Array.copy st.irq_next in
+  let upd i f =
+    let i = i mod Array.length tasks in
+    tasks.(i) <- f tasks.(i)
+  in
+  let at d = st.now + d in
+  (match e with
+  | Dl_check (i, d) ->
+    upd i (fun t ->
+        { t with dl_check = (match d with None -> max_int | Some d -> at d) })
+  | Pending (i, l) -> upd i (fun t -> { t with pending = List.map at l })
+  | Window (i, lo, hi) -> upd i (fun t -> { t with next_rel = Choose (at lo, at hi) })
+  | Next_at (i, d) -> upd i (fun t -> { t with next_rel = At (at d) })
+  | Split (i, l, k) ->
+    upd i (fun t ->
+        {
+          t with
+          held = List.filteri (fun j _ -> j < k) l;
+          pending = List.map at (List.filteri (fun j _ -> j >= k) l);
+        })
+  | Live (i, l) -> upd i (fun t -> { t with live = l })
+  | Inh (i, b) -> upd i (fun t -> { t with inh = b })
+  | Irq_window (k, lo, hi) ->
+    if Array.length irq_next > 0 then
+      irq_next.(k mod Array.length irq_next) <- Choose (at lo, at hi)
+  | Rel (i, r) -> upd i (fun t -> { t with rel = r })
+  | Brs (i, b) -> upd i (fun t -> { t with brs = b }));
+  { st with tasks; irq_next }
+
+let gen_edit =
+  let open QCheck2.Gen in
+  let task = int_bound 7 and small = int_range (-2) 2 in
+  let ints = list_size (int_bound 3) (int_bound 2) in
+  oneof
+    [
+      map2 (fun i d -> Dl_check (i, d)) task (opt small);
+      map2 (fun i l -> Pending (i, l)) task (list_size (int_bound 3) small);
+      map3 (fun i lo hi -> Window (i, lo, hi)) task small small;
+      map2 (fun i d -> Next_at (i, d)) task small;
+      map3 (fun i l k -> Split (i, l, k)) task ints (int_bound 3);
+      map2
+        (fun i l -> Live (i, l))
+        task
+        (list_size (int_bound 2) (pair (int_bound 1) (int_range 1 2)));
+      map3 (fun k lo hi -> Irq_window (k, lo, hi)) task small small;
+      map2 (fun i b -> Inh (i, b)) task bool;
+      map2 (fun i r -> Rel (i, r)) task small;
+      map2 (fun i b -> Brs (i, b)) task (int_bound 2);
+    ]
+
+(* Pairs of edits with the verdict the reference gives them.  The split
+   pair is the one a concatenation without length prefixes confuses:
+   held [0], next release now, pending [now; now] versus held [0; 0],
+   next release now, pending [now] give the same run of zeros. *)
+let edge_pairs =
+  [
+    ([ Dl_check (0, None) ], [ Dl_check (0, Some 0) ], false);
+    ([ Dl_check (0, None) ], [ Dl_check (0, None); Rel (0, 5); Brs (0, 1) ], true);
+    ([ Pending (0, [ -2; -1 ]) ], [ Pending (0, [ -2 ]) ], false);
+    ([ Pending (0, [ -1 ]) ], [ Pending (0, [ 1 ]) ], false);
+    ([ Window (0, -2, 1) ], [ Window (0, -1, 1) ], true);
+    ([ Window (0, -2, 1) ], [ Window (0, 0, 1) ], true);
+    ([ Window (0, 0, 1) ], [ Window (0, 1, 1) ], false);
+    ([ Irq_window (0, -2, -1) ], [ Irq_window (0, 0, 0) ], true);
+    ( [ Next_at (0, 0); Split (0, [ 0; 0; 0 ], 1) ],
+      [ Next_at (0, 0); Split (0, [ 0; 0; 0 ], 2) ],
+      false );
+    ([ Live (0, [ (0, 1) ]) ], [ Live (0, [ (0, 1); (1, 1) ]) ], false);
+    ([ Inh (0, true) ], [ Inh (0, false) ], false);
+  ]
+
+let key_edge_states () =
+  Array.iter
+    (fun (m, states) ->
+      Array.iteri
+        (fun i base ->
+          if i < 20 then
+            List.iteri
+              (fun j (ea, eb, equal) ->
+                let sa = List.fold_left apply_edit base ea
+                and sb = List.fold_left apply_edit base eb in
+                let what = Printf.sprintf "%s state %d pair %d" m.Mc.Machine.model_name i j in
+                check (what ^ ": reference") equal
+                  (reference_canon m sa = reference_canon m sb);
+                check (what ^ ": key") (reference_canon m sa = reference_canon m sb)
+                  (Mc.State.key m sa = Mc.State.key m sb))
+              edge_pairs)
+        states)
+    (Lazy.force key_machines)
+
+let key_iff_reference =
+  let gen =
+    let open QCheck2.Gen in
+    let* mi = int_bound 4 in
+    let* a = nat and* b = nat in
+    let* edits_a = list_size (int_bound 2) gen_edit
+    and* edits_b = list_size (int_bound 2) gen_edit in
+    let* same_base = bool in
+    return (mi, a, (if same_base then a else b), edits_a, edits_b)
+  in
+  QCheck_alcotest.to_alcotest ~speed_level:`Quick
+    ~rand:(Random.State.make [| 13 |])
+    (QCheck2.Test.make ~count:2000
+       ~name:"key a = key b exactly when the canonical values are equal" gen
+       (fun (mi, a, b, edits_a, edits_b) ->
+         let m, states = (Lazy.force key_machines).(mi) in
+         let pick i edits =
+           List.fold_left apply_edit states.(i mod Array.length states) edits
+         in
+         let sa = pick a edits_a and sb = pick b edits_b in
+         Mc.State.key m sa = Mc.State.key m sb
+         = (reference_canon m sa = reference_canon m sb)))
+
 let suite =
   [
     Alcotest.test_case "seeded deadlock: lint and MC agree" `Quick
@@ -406,4 +781,12 @@ let suite =
       snapshot_determinism;
     Alcotest.test_case "branch fork and counterexample replay" `Quick
       branch_fork_and_replay;
+    Alcotest.test_case "exploration parity on generated scenarios" `Quick
+      exploration_parity;
+    Alcotest.test_case "rendered counterexample is stable" `Quick
+      rendered_counterexample;
+    Alcotest.test_case "key partition equals canonical partition" `Quick
+      key_partition;
+    Alcotest.test_case "key on hand-built edge states" `Quick key_edge_states;
+    key_iff_reference;
   ]

@@ -303,6 +303,55 @@ let test_spec_file_name_escaping () =
   reads_back "sarif"
     (Lint.Sarif.log [ ("emeralds-lint", Lint.Sarif.(in_scenario "spec" (of_diags [ diag ]))) ])
 
+(* The deadlock message listed the whole blocked-on walk from the
+   lowest-index blocked task, so a high-priority bystander that merely
+   waits behind a deadlocked pair was named as part of the circular
+   wait ("circular wait: lo -> mid -> by").  Here mid (s2, then s1) and
+   lo (s1, then s2) close an opposite-order cycle at 6 ms; by blocked
+   on mid's s2 at 3 ms, before the cycle closed. *)
+let test_deadlock_names_only_the_cycle () =
+  let s1 = Objects.sem () and s2 = Objects.sem () in
+  let taskset =
+    Model.Taskset.of_list
+      [
+        Model.Task.make ~id:1 ~name:"by" ~period:(ms 10) ~wcet:(ms 1)
+          ~phase:(ms 3) ();
+        Model.Task.make ~id:2 ~name:"mid" ~period:(ms 20) ~wcet:(ms 3)
+          ~phase:(ms 1) ();
+        Model.Task.make ~id:3 ~name:"lo" ~period:(ms 50) ~wcet:(ms 7) ();
+      ]
+  in
+  let programs (t : Model.Task.t) =
+    let open Program in
+    match t.id with
+    | 1 -> [ acquire s2; release s2 ]
+    | 2 ->
+      [ acquire s2; compute (ms 1); acquire s1; release s1; release s2 ]
+    | _ ->
+      [ acquire s1; compute (ms 5); acquire s2; release s2; release s1 ]
+  in
+  let sc =
+    {
+      Workload.Scenario.name = "deadlock-bystander";
+      taskset;
+      programs;
+      irq_sources = [];
+      irq_signals = [];
+      irq_writes = [];
+    }
+  in
+  let m = Mc.Machine.of_scenario sc in
+  let res =
+    Mc.Explorer.check ~props:[ Mc.Props.deadlock ]
+      ~bounds:(Mc.Explorer.default_bounds m) m
+  in
+  match res.verdict with
+  | `Ok -> fail "MC missed the lo/mid deadlock"
+  | `Violation cex ->
+    check int "cycle closes at 6ms" (ms 6) cex.at;
+    check string "only the cycle's members are named"
+      "circular wait: lo -> mid" cex.message
+
 let suite =
   [
     test_case "budget probe fires when detection is overdue" `Quick
@@ -317,4 +366,6 @@ let suite =
       test_handoff_reinherits_deadline;
     test_case "spec-file task names survive JSON and SARIF" `Quick
       test_spec_file_name_escaping;
+    test_case "deadlock message names only the cycle" `Quick
+      test_deadlock_names_only_the_cycle;
   ]
