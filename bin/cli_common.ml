@@ -74,6 +74,40 @@ let bad_invocation fmt =
       exit 2)
     fmt
 
+(* The one scenario vocabulary: every subcommand's --preset NAME. *)
+let scenario_doc =
+  "Scenario: " ^ String.concat ", " Workload.Scenario.known ^ "."
+
+let scenario_of name =
+  match Workload.Scenario.make name with
+  | Some s -> s
+  | None ->
+    bad_invocation "unknown scenario %S (expected: %s)" name
+      (String.concat ", " Workload.Scenario.known)
+
+(* A CSD partition must fit the workload it schedules; checked before
+   the kernel is built so a bad --sched is a usage error. *)
+let validated_sched spec taskset =
+  (try
+     Emeralds.Sched.validate_partition spec
+       ~n_tasks:(Model.Taskset.size taskset)
+   with Invalid_argument msg ->
+     bad_invocation "bad --sched %s for %d task(s): %s"
+       (Emeralds.Sched.spec_name spec)
+       (Model.Taskset.size taskset)
+       msg);
+  spec
+
+(* A program the kernel refuses at run time (the double-free demo frees
+   a block it does not hold) is a finding about the scenario, not an
+   internal error; any other exception still escapes as one. *)
+let simulating (scenario : Workload.Scenario.t) f =
+  try f ()
+  with Emeralds.Kernel.Program_rejected msg ->
+    Printf.eprintf "scenario %s: the kernel rejected a program: %s\n"
+      scenario.name msg;
+    exit 1
+
 let taskset_of ~preset ~random_n ~file ~seed =
   match (preset, random_n, file) with
   | Some ts, None, None -> ts
@@ -120,6 +154,16 @@ let category_mask_of_names spec =
 (* Every JSON and SARIF document leaves the CLI here, one per line. *)
 let json_line v = Util.Json.to_string v ^ "\n"
 let print_json v = print_string (json_line v)
+
+(* --out of trace and explain: the rendered document goes to the file,
+   a one-line note to stdout. *)
+let write_output ~out ~format output =
+  match out with
+  | Some path ->
+    Out_channel.with_open_text path (fun oc ->
+        Out_channel.output_string oc output);
+    Printf.printf "%s output written to %s\n" format path
+  | None -> print_string output
 
 (* --format of the subcommands whose one alternative output is SARIF *)
 let sarif_only = function

@@ -104,35 +104,13 @@ let schedulability_cmd =
 (* ------------------------------------------------------------------ *)
 (* analyze (abstract interpretation) *)
 
-let demo_scenarios =
-  [
-    ("under-declared-demo", Workload.Scenario.under_declared_wcet);
-    ("over-budget-demo", Workload.Scenario.over_budget);
-    ("deadlock-demo", Workload.Scenario.seeded_deadlock);
-    ("alloc-demo", Workload.Scenario.alloc_demo);
-    ("leak-demo", Workload.Scenario.leak_demo);
-    ("double-free-demo", Workload.Scenario.double_free_demo);
-  ]
-
-let analyze_scenario_names =
-  Workload.Scenario.names @ List.map fst demo_scenarios
-
-let analyze_scenario_of name =
-  match List.assoc_opt name demo_scenarios with
-  | Some mk -> Some (mk ())
-  | None -> Workload.Scenario.make name
-
 let analyze_cmd =
   let preset_name =
     Arg.(
       value
       & opt (some string) None
       & info [ "preset" ] ~docv:"NAME"
-          ~doc:
-            "Scenario to analyze: table2, engine, avionics, voice, branchy, \
-             under-declared-demo, over-budget-demo, deadlock-demo, \
-             alloc-demo, leak-demo or double-free-demo (default: the \
-             shipped presets).")
+          ~doc:("Scenario to analyze (default: the shipped presets). " ^ scenario_doc))
   in
   let cost_name =
     Arg.(
@@ -183,12 +161,7 @@ let analyze_cmd =
     let scenarios =
       match preset_name with
       | None -> Workload.Scenario.all ()
-      | Some n -> (
-        match analyze_scenario_of n with
-        | Some s -> [ s ]
-        | None ->
-          bad_invocation "unknown scenario %S (expected: %s)" n
-            (String.concat ", " analyze_scenario_names))
+      | Some n -> [ scenario_of n ]
     in
     let had_errors = ref false in
     let sarif_results = ref [] in
@@ -300,6 +273,7 @@ let simulate_cmd =
   in
   let run preset random_n file seed spec horizon timeline csv =
     let taskset = taskset_of ~preset ~random_n ~file ~seed in
+    let spec = validated_sched spec taskset in
     let k =
       Emeralds.Kernel.create ~cost:Sim.Cost.m68040 ~spec ~taskset ()
     in
@@ -368,10 +342,7 @@ let lint_cmd =
       value
       & opt (some string) None
       & info [ "preset" ] ~docv:"NAME"
-          ~doc:
-            "Scenario to lint: table2, engine, avionics, voice, branchy or one \
-             of the demo scenarios (deadlock-demo, leak-demo, \
-             double-free-demo, ...); default: the shipped presets.")
+          ~doc:("Scenario to lint (default: the shipped presets). " ^ scenario_doc))
   in
   let json =
     Arg.(value & flag & info [ "json" ] ~doc:"Emit findings as JSON.")
@@ -398,13 +369,7 @@ let lint_cmd =
     let scenarios =
       match preset_name with
       | None -> Workload.Scenario.all ()
-      | Some n -> (
-        match analyze_scenario_of n with
-        | Some s -> [ s ]
-        | None ->
-          Printf.eprintf "unknown scenario %S (expected: %s)\n" n
-            (String.concat ", " analyze_scenario_names);
-          exit 2)
+      | Some n -> [ scenario_of n ]
     in
     let had_errors = ref false in
     let sarif_results = ref [] in
@@ -450,9 +415,8 @@ let check_cmd =
       value
       & opt string "engine"
       & info [ "preset" ] ~docv:"NAME"
-          ~doc:
-            "Scenario to check: table2, engine, avionics, voice, branchy, or \
-             deadlock-demo (the intentionally buggy lock-order cycle).")
+          ~doc:("Scenario to check (deadlock-demo is the intentionally buggy \
+                 lock-order cycle). " ^ scenario_doc))
   in
   let sched =
     Arg.(
@@ -542,24 +506,12 @@ let check_cmd =
   let run preset_name sched horizon_ms max_states max_depth props_arg no_por
       read_span_us sporadic json format rta search_seed =
     sarif_only format;
-    let scenario =
-      if preset_name = "deadlock-demo" then Workload.Scenario.seeded_deadlock ()
-      else
-        match Workload.Scenario.make preset_name with
-        | Some s -> s
-        | None ->
-          Printf.eprintf "unknown scenario %S (expected: %s, deadlock-demo)\n"
-            preset_name
-            (String.concat ", " Workload.Scenario.names);
-          exit 2
-    in
+    let scenario = scenario_of preset_name in
     let sched =
       match String.lowercase_ascii sched with
       | "fp" | "rm" -> Mc.Machine.Fp
       | "edf" -> Mc.Machine.Edf
-      | s ->
-        Printf.eprintf "unknown scheduler %S (expected: fp, edf)\n" s;
-        exit 2
+      | s -> bad_invocation "unknown scheduler %S (expected: fp, edf)" s
     in
     let sporadic =
       List.map
@@ -570,13 +522,8 @@ let check_cmd =
               ( int_of_string tid,
                 Model.Time.ms (int_of_string lo),
                 Model.Time.ms (int_of_string hi) )
-            with _ ->
-              Printf.eprintf "bad --sporadic %S\n" spec;
-              exit 2)
-          | _ ->
-            Printf.eprintf "bad --sporadic %S (expected TID:MIN_MS:MAX_MS)\n"
-              spec;
-            exit 2)
+            with _ -> bad_invocation "bad --sporadic %S" spec)
+          | _ -> bad_invocation "bad --sporadic %S (expected TID:MIN_MS:MAX_MS)" spec)
         sporadic
     in
     let props =
@@ -588,9 +535,8 @@ let check_cmd =
             match Mc.Props.by_name (String.trim name) with
             | Some p -> p
             | None ->
-              Printf.eprintf "unknown property %S (known: %s)\n" name
-                (String.concat ", " Mc.Props.names);
-              exit 2)
+              bad_invocation "unknown property %S (known: %s)" name
+                (String.concat ", " Mc.Props.names))
           (String.split_on_char ',' spec)
     in
     let m =
@@ -732,11 +678,10 @@ let inject_cmd =
       & opt string "overrun-demo"
       & info [ "preset" ] ~docv:"NAME"
           ~doc:
-            "Scenario to inject into: table2, engine, avionics, voice (clean \
-             presets, empty default plan), overrun-demo (WCET-overrun \
-             seeded-fault demo), storm-demo (IRQ storm / lost signal / \
-             sporadic burst demo), alloc-demo (disciplined block-pool use) \
-             or leak-demo (per-job block leak).")
+            ("Scenario to inject into: overrun-demo and storm-demo carry a \
+              default fault plan (WCET overrun; IRQ storm, lost signal and \
+              sporadic burst), every other scenario an empty one. "
+            ^ scenario_doc))
   in
   let plan_arg =
     Arg.(
@@ -858,21 +803,8 @@ let inject_cmd =
   let run preset_name plan_arg policy miss_policy shed_one_in mem_policy sched
       horizon_ms seed json format flightrec_path ring_bytes =
     sarif_only format;
-    let scenario =
-      match preset_name with
-      | "overrun-demo" -> Workload.Scenario.overrun_demo ()
-      | "storm-demo" -> Workload.Scenario.storm_demo ()
-      | "alloc-demo" -> Workload.Scenario.alloc_demo ()
-      | "leak-demo" -> Workload.Scenario.leak_demo ()
-      | n -> (
-        match Workload.Scenario.make n with
-        | Some s -> s
-        | None ->
-          bad_invocation
-            "unknown scenario %S (expected: %s, overrun-demo, storm-demo, \
-             alloc-demo, leak-demo)" n
-            (String.concat ", " Workload.Scenario.names))
-    in
+    let scenario = scenario_of preset_name in
+    let sched = validated_sched sched scenario.taskset in
     let plan =
       match plan_arg with
       | None -> default_plan scenario preset_name
@@ -962,7 +894,7 @@ let inject_cmd =
         observer;
       }
     in
-    let report = Fault.Report.run cfg in
+    let report = simulating scenario (fun () -> Fault.Report.run cfg) in
     if format = Some "sarif" then
       print_json
         (Lint.Sarif.log [ ("emeralds-inject", Fault.Report.to_sarif report) ])
@@ -1025,9 +957,8 @@ let trace_cmd =
       & opt string "engine"
       & info [ "preset" ] ~docv:"NAME"
           ~doc:
-            "Scenario to record: table2, engine, avionics, voice, branchy, \
-             alloc-demo, leak-demo or inversion-demo (full scenario replay: \
-             programs attached, IRQ sources firing).")
+            ("Scenario to record (full scenario replay: programs attached, \
+              IRQ sources firing). " ^ scenario_doc))
   in
   let sched =
     Arg.(
@@ -1085,19 +1016,8 @@ let trace_cmd =
     | "perfetto" | "csv" | "metrics" | "json" -> ()
     | f ->
       bad_invocation "unknown format %S (expected: perfetto, csv, metrics, json)" f);
-    let scenario =
-      match Workload.Scenario.make preset_name with
-      | Some s -> s
-      | None -> (
-        match preset_name with
-        | "alloc-demo" -> Workload.Scenario.alloc_demo ()
-        | "leak-demo" -> Workload.Scenario.leak_demo ()
-        | "inversion-demo" -> Workload.Scenario.inversion_demo ()
-        | _ ->
-          bad_invocation "unknown scenario %S (expected: %s, alloc-demo, \
-                          leak-demo, inversion-demo)" preset_name
-            (String.concat ", " Workload.Scenario.names))
-    in
+    let scenario = scenario_of preset_name in
+    let sched = validated_sched sched scenario.taskset in
     let mask = category_mask_of_names categories in
     let ring_bytes = validated_ring_bytes ring_bytes in
     let metrics = Obs.Metrics.create () in
@@ -1123,7 +1043,7 @@ let trace_cmd =
         observer = Some observer;
       }
     in
-    let outcome = Fault.Inject.run cfg in
+    let outcome = simulating scenario (fun () -> Fault.Inject.run cfg) in
     let window = Obs.Flightrec.dump flightrec in
     let output =
       match format with
@@ -1143,12 +1063,7 @@ let trace_cmd =
       | "json" -> json_line (Obs.Export.metrics_json metrics)
       | _ -> assert false
     in
-    (match out with
-    | Some path ->
-      Out_channel.with_open_text path (fun oc ->
-          Out_channel.output_string oc output);
-      Printf.printf "%s output written to %s\n" format path
-    | None -> print_string output);
+    write_output ~out ~format output;
     let tr = Emeralds.Kernel.trace outcome.kernel in
     (match Obs.Flightrec.triggered flightrec with
     | Some { at; entry } ->
@@ -1181,35 +1096,13 @@ let trace_cmd =
 (* ------------------------------------------------------------------ *)
 (* explain *)
 
-(* RTA's bounds only speak about computes and bounded critical
-   sections; tasks with open-ended blocking fall outside the claim and
-   their bound columns are suppressed (mirrors the campaign's
-   eligibility rule). *)
-let explain_eligible (sc : Workload.Scenario.t) =
-  Array.map
-    (fun (t : Model.Task.t) ->
-      let ok = ref true in
-      Emeralds.Program.iter_leaves
-        (fun instr ->
-          match instr with
-          | Emeralds.Types.Wait _ | Emeralds.Types.Timed_wait _
-          | Emeralds.Types.Recv _ | Emeralds.Types.Send _
-          | Emeralds.Types.Delay _ ->
-            ok := false
-          | _ -> ())
-        (sc.programs t);
-      !ok)
-    (Model.Taskset.tasks sc.taskset)
-
 let explain_cmd =
   let preset_name =
     Arg.(
       value
       & opt string "branchy"
       & info [ "preset" ] ~docv:"NAME"
-          ~doc:
-            "Scenario to explain: table2, engine, avionics, voice, branchy, \
-             inversion-demo, alloc-demo, leak-demo or overrun-demo.")
+          ~doc:("Scenario to explain. " ^ scenario_doc))
   in
   let sched =
     Arg.(
@@ -1253,262 +1146,31 @@ let explain_cmd =
     (match format with
     | "text" | "json" | "sarif" -> ()
     | f -> bad_invocation "unknown format %S (expected: text, json, sarif)" f);
-    let scenario =
-      match Workload.Scenario.make preset_name with
-      | Some s -> s
-      | None -> (
-        match preset_name with
-        | "inversion-demo" -> Workload.Scenario.inversion_demo ()
-        | "alloc-demo" -> Workload.Scenario.alloc_demo ()
-        | "leak-demo" -> Workload.Scenario.leak_demo ()
-        | "overrun-demo" -> Workload.Scenario.overrun_demo ()
-        | _ ->
-          bad_invocation
-            "unknown scenario %S (expected: %s, inversion-demo, alloc-demo, \
-             leak-demo, overrun-demo)"
-            preset_name
-            (String.concat ", " Workload.Scenario.names))
-    in
-    let tasks = Model.Taskset.tasks scenario.taskset in
+    let scenario = scenario_of preset_name in
+    let sched = validated_sched sched scenario.taskset in
     (match task_filter with
     | Some tid
-      when not (Array.exists (fun (t : Model.Task.t) -> t.id = tid) tasks) ->
+      when not
+             (Array.exists
+                (fun (t : Model.Task.t) -> t.id = tid)
+                (Model.Taskset.tasks scenario.taskset)) ->
       bad_invocation "no task %d in scenario %S" tid preset_name
     | _ -> ());
-    (* static terms: the same lint blocking terms, Table-1-inflated RTA
-       and absint demand bounds the campaign's blame oracle checks
-       against (all RM-specific) *)
-    let rm_bounds = sched = Emeralds.Sched.Rm in
-    let ctx =
-      Lint.Ctx.make ~irq_signals:scenario.irq_signals
-        ~irq_writes:scenario.irq_writes ~taskset:scenario.taskset
-        ~programs:scenario.programs ()
-    in
-    let blocking = Lint.Blocking_terms.blocking_terms ctx in
-    let rows =
-      Analysis.Overhead.inflate ~cost:Sim.Cost.m68040 ~spec:Emeralds.Sched.Rm
-        scenario.taskset
-    in
-    let rta =
-      Array.init (Array.length tasks) (fun i ->
-          Analysis.Rta.response_time ~blocking ~tasks:rows i)
-    in
-    let eligible = explain_eligible scenario in
-    let rep = Absint.Report.analyze scenario in
-    (* simulation with the attributor on the probe stream *)
-    let blame =
-      Obs.Blame.create ~tasks:(Obs.Blame.of_taskset scenario.taskset) ()
-    in
-    let observer k = Obs.Blame.attach blame (Emeralds.Kernel.probe k) in
-    let cfg =
-      {
-        (Fault.Inject.default_config ~scenario ~spec:sched
-           ~horizon:(Model.Time.ms horizon_ms) ~seed ())
-        with
-        observer = Some observer;
-      }
-    in
-    let outcome = Fault.Inject.run cfg in
-    let tr = Emeralds.Kernel.trace outcome.kernel in
-    let misses = Sim.Trace.deadline_misses tr in
-    let overruns = Sim.Trace.budget_overruns tr in
-    let kills = Sim.Trace.jobs_killed tr in
-    let selected (s : Obs.Blame.task_summary) =
-      match task_filter with Some tid -> s.s_id = tid | None -> true
-    in
-    let summaries = List.filter selected (Obs.Blame.summaries blame) in
-    let exec_hi (t : Model.Task.t) =
-      match
-        Array.find_opt
-          (fun (tb : Absint.Report.task_bound) -> tb.task.id = t.id)
-          rep.tasks
-      with
-      | Some tb -> Absint.Itv.hi_int tb.summary.exec
-      | None -> None
-    in
-    let overhead_budget i (s : Obs.Blame.task_summary) =
-      match rta.(i) with
-      | Some rstar ->
-        Some
-          (Analysis.Overhead.job_budget ~cost:Sim.Cost.m68040
-             ~spec:Emeralds.Sched.Rm ~taskset:scenario.taskset
-             ~programs:(Array.map scenario.programs tasks)
-             ~rank:i ~response:rstar ~irqs:s.s_max_irqs)
-      | None -> None
-    in
-    let interference_bound i j =
-      match Analysis.Rta.decompose ~blocking ~tasks:rows i with
-      | Some dec ->
-        let _, _, cj = rows.(j) in
-        Some (dec.Analysis.Rta.dec_interference.(j) + cj)
-      | None -> None
-    in
-    (* the dominant cause of each missing task's worst job — the line
-       the exit-1 path prints and SARIF reports *)
-    let verdicts =
-      List.filter_map
-        (fun (s : Obs.Blame.task_summary) ->
-          let t =
-            Array.to_list tasks
-            |> List.find (fun (t : Model.Task.t) -> t.id = s.s_id)
-          in
-          match s.s_worst with
-          | Some bd when s.s_max_response > t.deadline ->
-            let cause, amount = Obs.Blame.dominant bd in
-            Some (s.s_id, cause, amount)
-          | _ -> None)
-        summaries
+    let report =
+      simulating scenario (fun () ->
+          Fault.Explain.run ?task:task_filter ~spec:sched
+            ~horizon:(Model.Time.ms horizon_ms) ~seed scenario)
     in
     let output =
       match format with
-      | "text" ->
-        let buf = Buffer.create 2048 in
-        Printf.bprintf buf
-          "explain: scenario %s, sched %s, horizon %d ms, seed %d\n"
-          preset_name
-          (Emeralds.Sched.spec_name sched)
-          horizon_ms seed;
-        Printf.bprintf buf
-          "  %d deadline miss(es), %d overrun(s), %d kill(s), %d \
-           conservation violation(s)\n"
-          misses overruns kills
-          (Obs.Blame.residual_violations blame);
-        List.iter
-          (fun (s : Obs.Blame.task_summary) ->
-            let i = s.s_rank in
-            let t =
-              Array.to_list tasks
-              |> List.find (fun (t : Model.Task.t) -> t.id = s.s_id)
-            in
-            Printf.bprintf buf
-              "\ntau%d (rank %d): %d job(s), max response %dns%s%s\n" s.s_id
-              s.s_rank s.s_jobs s.s_max_response
-              (match rta.(i) with
-              | Some r when rm_bounds && eligible.(i) ->
-                Printf.sprintf ", RTA bound %dns" r
-              | _ -> "")
-              (if s.s_max_response > t.deadline then "  ** MISSED **" else "");
-            (match s.s_worst with
-            | Some bd ->
-              Printf.bprintf buf "%s"
-                (Format.asprintf "%a" Obs.Blame.pp_breakdown bd);
-              if rm_bounds && eligible.(i) then begin
-                let line label v bound =
-                  match bound with
-                  | Some b ->
-                    Printf.bprintf buf "  %-22s %10dns <= %10dns  %s\n" label
-                      v b
-                      (if v <= b then "ok" else "EXCEEDS")
-                  | None -> ()
-                in
-                Printf.bprintf buf "  cross-validation (worst per component \
-                                    across jobs vs analytical term):\n";
-                line "exec <= absint demand" s.s_max_exec (exec_hi t);
-                List.iter
-                  (fun (j, v) ->
-                    line
-                      (Printf.sprintf "interference(rank %d)" j)
-                      v
-                      (interference_bound i j))
-                  s.s_max_interference;
-                line "blocking <= lint term" s.s_max_blocking_total
-                  (Some blocking.(i));
-                line "overhead <= Table-1" s.s_max_overhead_total
-                  (overhead_budget i s)
-              end
-            | None -> ())
-          )
-          summaries;
-        List.iter
-          (fun (tid, cause, amount) ->
-            Printf.bprintf buf
-              "\ntau%d missed its deadline: dominant blame %s (%dns)\n" tid
-              (Obs.Blame.cause_label cause)
-              amount)
-          verdicts;
-        Buffer.contents buf
-      | "json" ->
-        let open Util.Json in
-        let task (s : Obs.Blame.task_summary) =
-          let i = s.s_rank in
-          let t = Array.to_list tasks |> List.find (fun (t : Model.Task.t) -> t.id = s.s_id) in
-          let rta_bound =
-            match rta.(i) with
-            | Some r when rm_bounds && eligible.(i) -> [ ("rta_bound", Int r) ]
-            | _ -> []
-          in
-          let worst =
-            match s.s_worst with
-            | Some bd ->
-              let cause, amount = Obs.Blame.dominant bd in
-              let interference (j, v) = Obj [ ("rank", Int j); ("ns", Int v) ] in
-              [ ( "worst",
-                  Obj
-                    [ ("job", Int bd.b_job); ("response", Int bd.b_response);
-                      ("exec", Int bd.b_exec); ("backlog", Int bd.b_backlog);
-                      ("blocking", Int (Obs.Blame.blocking_total bd));
-                      ("overhead", Int (Obs.Blame.overhead_total bd));
-                      ("suspend", Int bd.b_suspend); ("gap", Int bd.b_gap);
-                      ("residual", Int bd.b_residual);
-                      ("interference", List (List.map interference bd.b_interference));
-                      ( "dominant",
-                        Obj
-                          [ ("cause", String (Obs.Blame.cause_label cause));
-                            ("ns", Int amount) ] ) ] ) ]
-            | None -> []
-          in
-          Obj
-            ([ ("tid", Int s.s_id); ("rank", Int s.s_rank); ("jobs", Int s.s_jobs);
-               ("max_response", Int s.s_max_response);
-               ("missed", Bool (s.s_max_response > t.deadline)) ]
-            @ rta_bound @ worst)
-        in
+      | "text" -> Fault.Explain.render report
+      | "json" -> json_line (Fault.Explain.to_json report)
+      | _ ->
         json_line
-          (Obj
-             [ ("scenario", String preset_name);
-               ("sched", String (Emeralds.Sched.spec_name sched));
-               ("horizon_ms", Int horizon_ms); ("seed", Int seed); ("misses", Int misses);
-               ("overruns", Int overruns); ("kills", Int kills);
-               ("residual_violations", Int (Obs.Blame.residual_violations blame));
-               ("tasks", List (List.map task summaries)) ])
-      | "sarif" ->
-        let results = ref [] in
-        let add rule_id level message logical =
-          results :=
-            { Lint.Sarif.rule_id; level; message; logical = Some logical }
-            :: !results
-        in
-        List.iter
-          (fun (s : Obs.Blame.task_summary) ->
-            if s.s_residual_violations > 0 then
-              add "explain/conservation" Lint.Sarif.Error
-                (Printf.sprintf
-                   "blame components of %d job(s) missed the observed \
-                    response by up to %dns"
-                   s.s_residual_violations s.s_max_abs_residual)
-                (Printf.sprintf "%s, task %d" preset_name s.s_id))
-          summaries;
-        List.iter
-          (fun (tid, cause, amount) ->
-            add "explain/miss" Lint.Sarif.Error
-              (Printf.sprintf "deadline miss: dominant blame %s (%dns)"
-                 (Obs.Blame.cause_label cause)
-                 amount)
-              (Printf.sprintf "%s, task %d" preset_name tid))
-          verdicts;
-        json_line (Lint.Sarif.log [ ("emeralds-explain", List.rev !results) ])
-      | _ -> assert false
+          (Lint.Sarif.log [ ("emeralds-explain", Fault.Explain.to_sarif report) ])
     in
-    (match out with
-    | Some path ->
-      Out_channel.with_open_text path (fun oc ->
-          Out_channel.output_string oc output);
-      Printf.printf "%s output written to %s\n" format path
-    | None -> print_string output);
-    if
-      misses > 0 || overruns > 0 || kills > 0
-      || Obs.Blame.residual_violations blame > 0
-    then exit 1
+    write_output ~out ~format output;
+    if Fault.Explain.violations report then exit 1
   in
   Cmd.v
     (Cmd.info "explain"
@@ -1534,19 +1196,15 @@ let footprint_cmd =
       & opt (some string) None
       & info [ "preset" ] ~docv:"NAME"
           ~doc:
-            "Report the footprint derived from a scenario's programs \
-             instead of the representative default configuration.")
+            ("Report the footprint derived from a scenario's programs \
+              instead of the representative default configuration. "
+            ^ scenario_doc))
   in
   let run preset_name =
     let config =
       match preset_name with
       | None -> Emeralds.Footprint.default_config
-      | Some n -> (
-        match analyze_scenario_of n with
-        | Some s -> (Absint.Report.analyze s).Absint.Report.config
-        | None ->
-          bad_invocation "unknown scenario %S (expected: %s)" n
-            (String.concat ", " analyze_scenario_names))
+      | Some n -> (Absint.Report.analyze (scenario_of n)).Absint.Report.config
     in
     print_string (Emeralds.Footprint.report config);
     Printf.printf "TOTAL code + RAM: %d bytes (envelope %d-%d): %s\n"
@@ -1753,7 +1411,7 @@ let fabric_cmd =
   let horizon_ms =
     Arg.(
       value & opt int 400
-      & info [ "horizon" ] ~docv:"MS" ~doc:"Simulated horizon, milliseconds.")
+      & info [ "horizon-ms" ] ~docv:"MS" ~doc:"Simulated horizon, milliseconds.")
   in
   let json =
     Arg.(value & flag & info [ "json" ] ~doc:"Emit the scorecard as JSON.")
@@ -1767,7 +1425,7 @@ let fabric_cmd =
   in
   let run preset_name plan_spec horizon_ms seed json format =
     sarif_only format;
-    if horizon_ms <= 0 then bad_invocation "--horizon must be positive";
+    if horizon_ms <= 0 then bad_invocation "--horizon-ms must be positive";
     let ms = Model.Time.ms in
     let task ~id ~period_ms ~wcet_ms =
       Model.Task.make ~id ~period:(ms period_ms) ~wcet:(ms wcet_ms) ()

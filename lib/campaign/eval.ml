@@ -101,26 +101,6 @@ let norm_sig k =
   in
   (entries, Sim.Trace.busy_time tr, Sim.Trace.context_switches tr)
 
-(* RTA's bounds only claim anything for tasks whose programs the
-   response-time recurrence models: computes and bounded critical
-   sections.  Open-ended blocking (waits, receives, delays) is outside
-   the claim. *)
-let rta_eligible (sc : Workload.Scenario.t) =
-  Array.map
-    (fun (t : Model.Task.t) ->
-      let ok = ref true in
-      Emeralds.Program.iter_leaves
-        (fun instr ->
-          match instr with
-          | Emeralds.Types.Wait _ | Emeralds.Types.Timed_wait _
-          | Emeralds.Types.Recv _ | Emeralds.Types.Send _
-          | Emeralds.Types.Delay _ ->
-            ok := false
-          | _ -> ())
-        (sc.programs t);
-      !ok)
-    (Model.Taskset.tasks sc.taskset)
-
 let sim_horizon tasks =
   let maxp =
     Array.fold_left (fun a (t : Model.Task.t) -> max a t.period) 0 tasks
@@ -310,15 +290,7 @@ let run ?(oracles = Oracle.all) ?(ablation = Oracle.No_ablation)
     if ablation = Oracle.Rta_blocking then Array.map (fun _ -> 0) blocking
     else blocking
   in
-  let rows =
-    Analysis.Overhead.inflate ~cost:Sim.Cost.m68040 ~spec:Emeralds.Sched.Rm
-      sc.taskset
-  in
-  let rta =
-    Array.init (Array.length tasks) (fun i ->
-        Analysis.Rta.response_time ~blocking ~tasks:rows i)
-  in
-  let eligible = rta_eligible sc in
+  let claims = Fault.Claims.make ~blocking ~absint:rep sc in
   let stat_us = now_us () - t0 in
   (* -- simulation phase -------------------------------------------- *)
   let horizon = sim_horizon tasks in
@@ -362,56 +334,25 @@ let run ?(oracles = Oracle.all) ?(ablation = Oracle.No_ablation)
   | _ -> ());
   (match enforced with
   | Some k when wants oracles Rta_sim ->
-    let stats = Emeralds.Kernel.stats k in
-    Array.iteri
-      (fun i (t : Model.Task.t) ->
-        match rta.(i) with
-        | Some bound when eligible.(i) -> (
-          match
-            List.find_opt
-              (fun (s : Emeralds.Kernel.task_stats) -> s.tid = t.id)
-              stats
-          with
-          | Some s when s.misses > 0 ->
-            add Rta_sim ~task:t.id
-              (Printf.sprintf
-                 "RTA-feasible task missed %d deadline(s) in simulation \
-                  (bound %dus <= deadline %dus)"
-                 s.misses (bound / 1000) (t.deadline / 1000))
-          | _ -> ())
-        | _ -> ())
-      tasks
+    List.iter
+      (fun ((t : Model.Task.t), bound, (s : Emeralds.Kernel.task_stats)) ->
+        add Rta_sim ~task:t.id
+          (Printf.sprintf
+             "RTA-feasible task missed %d deadline(s) in simulation (bound \
+              %dus <= deadline %dus)"
+             s.misses (bound / 1000) (t.deadline / 1000)))
+      (Fault.Claims.missed_rta claims k)
   | _ -> ());
   (match enforced with
   | Some k when wants oracles Demand ->
-    (* worst observed per-job execution, from the enforcement
-       accounting plus any overrun records *)
-    let worst = Hashtbl.create 8 in
-    let note tid v =
-      let cur = Option.value ~default:0 (Hashtbl.find_opt worst tid) in
-      if v > cur then Hashtbl.replace worst tid v
-    in
     List.iter
-      (fun (s : Emeralds.Kernel.enf_stats) -> note s.e_tid s.e_budget_used)
-      (Emeralds.Kernel.enforcement_stats k);
-    List.iter
-      (fun (st : Sim.Trace.stamped) ->
-        match st.entry with
-        | Sim.Trace.Budget_overrun { tid; used; _ } -> note tid used
-        | _ -> ())
-      (Sim.Trace.entries (Emeralds.Kernel.trace k));
-    Array.iter
-      (fun (tb : Absint.Report.task_bound) ->
-        match Absint.Itv.hi_int tb.summary.exec with
-        | Some hi ->
-          let hi = if ablation = Oracle.Absint_demand then hi / 2 else hi in
-          let used = Option.value ~default:0 (Hashtbl.find_opt worst tb.task.id) in
-          if used > hi then
-            add Demand ~task:tb.task.id
-              (Printf.sprintf "observed execution %dns > absint bound %dns"
-                 used hi)
-        | None -> ())
-      rep.tasks
+      (fun ((t : Model.Task.t), hi, used) ->
+        let hi = if ablation = Oracle.Absint_demand then hi / 2 else hi in
+        if used > hi then
+          add Demand ~task:t.id
+            (Printf.sprintf "observed execution %dns > absint bound %dns" used
+               hi))
+      (Fault.Claims.demand_seen claims k)
   | _ -> ());
   (match enforced with
   | Some k when wants oracles Mem ->
@@ -538,62 +479,33 @@ let run ?(oracles = Oracle.all) ?(ablation = Oracle.No_ablation)
        this guards future policies). *)
     let ktr = Emeralds.Kernel.trace k in
     let halve v = if ablation = Oracle.Blame_bounds then v / 2 else v in
+    let exceeded (b : Fault.Claims.blame_bound) bound =
+      match b.term with
+      | Exec ->
+        Printf.sprintf "blamed execution %dns > absint demand bound %dns"
+          b.observed bound
+      | Interference j ->
+        Printf.sprintf "blamed interference %dns from rank %d > RTA term %dns"
+          b.observed j bound
+      | Blocking ->
+        Printf.sprintf "blamed blocking %dns > lint blocking term %dns"
+          b.observed bound
+      | Overhead ->
+        Printf.sprintf "blamed kernel overhead %dns > Table-1 budget %dns"
+          b.observed bound
+    in
     if Sim.Trace.jobs_killed ktr = 0 && Sim.Trace.jobs_shed ktr = 0 then
       Array.iteri
         (fun i (t : Model.Task.t) ->
-          match (Obs.Blame.summary b ~tid:t.id, rta.(i)) with
-          | Some s, Some rstar when eligible.(i) && s.s_jobs > 0 ->
-            (* own execution vs the absint demand bound *)
-            (match
-               Array.find_opt
-                 (fun (tb : Absint.Report.task_bound) -> tb.task.id = t.id)
-                 rep.tasks
-             with
-            | Some tb -> (
-              match Absint.Itv.hi_int tb.summary.exec with
-              | Some hi ->
-                if s.s_max_exec > halve hi then
-                  add Blame ~task:t.id
-                    (Printf.sprintf
-                       "blamed execution %dns > absint demand bound %dns"
-                       s.s_max_exec (halve hi))
-              | None -> ())
-            | None -> ());
-            (* per-rank interference vs the RTA decomposition (one
-               extra job per rank covers release-aligned carry-in) *)
-            (match Analysis.Rta.decompose ~blocking ~tasks:rows i with
-            | Some dec ->
-              List.iter
-                (fun (j, v) ->
-                  let _, _, cj = rows.(j) in
-                  let bound = halve (dec.Analysis.Rta.dec_interference.(j) + cj) in
-                  if v > bound then
-                    add Blame ~task:t.id
-                      (Printf.sprintf
-                         "blamed interference %dns from rank %d > RTA term \
-                          %dns"
-                         v j bound))
-                s.s_max_interference
-            | None -> ());
-            (* total blocking vs the lint-derived blocking term *)
-            if s.s_max_blocking_total > halve blocking.(i) then
-              add Blame ~task:t.id
-                (Printf.sprintf
-                   "blamed blocking %dns > lint blocking term %dns"
-                   s.s_max_blocking_total (halve blocking.(i)));
-            (* ambient kernel overhead vs the Table-1 budget at the
-               RTA fixpoint, priced with the observed IRQ count *)
-            let budget =
-              Analysis.Overhead.job_budget ~cost:Sim.Cost.m68040
-                ~spec:Emeralds.Sched.Rm ~taskset:sc.taskset
-                ~programs:(Array.map sc.programs tasks)
-                ~rank:i ~response:rstar ~irqs:s.s_max_irqs
-            in
-            if s.s_max_overhead_total > halve budget then
-              add Blame ~task:t.id
-                (Printf.sprintf
-                   "blamed kernel overhead %dns > Table-1 budget %dns"
-                   s.s_max_overhead_total (halve budget))
+          match (Obs.Blame.summary b ~tid:t.id, Fault.Claims.rta_bound claims i) with
+          | Some s, Some _ when s.s_jobs > 0 ->
+            List.iter
+              (fun (bb : Fault.Claims.blame_bound) ->
+                match bb.bound with
+                | Some bound when bb.observed > halve bound ->
+                  add Blame ~task:t.id (exceeded bb (halve bound))
+                | _ -> ())
+              (Fault.Claims.blame_bounds claims s)
           | _ -> ())
         tasks
   | _ -> ());
@@ -736,8 +648,8 @@ let run ?(oracles = Oracle.all) ?(ablation = Oracle.No_ablation)
     if wants oracles Rta_mc then
       Array.iteri
         (fun i (mt : Mc.Machine.mtask) ->
-          match rta.(i) with
-          | Some bound when eligible.(i) ->
+          match Fault.Claims.rta_bound claims i with
+          | Some bound ->
             let obs = res.max_response.(i) in
             if obs > bound then
               add Rta_mc ~task:mt.tid

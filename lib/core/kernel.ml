@@ -73,6 +73,8 @@ type enf_state = {
   mutable first_detection : Model.Time.t option;
 }
 
+exception Program_rejected of string
+
 (* Observed per-(task, pool) allocator behaviour — the dynamic side of
    the peak-live domination oracle. *)
 type mem_cell = {
@@ -419,7 +421,8 @@ let sem_release k tcb s =
   if s.sem_initial = 1 then (
     match s.holder with
     | Some h when h == tcb -> ()
-    | Some _ | None -> invalid_arg "Kernel: release of a semaphore not held");
+    | Some _ | None ->
+      raise (Program_rejected "release of a semaphore not held"));
   charge k Sim.Trace.Ovh_sem k.cost.sem_admin;
   Obs.Probe.emit k.probe ~at:(now k)
     (Sem_released { tid = tcb.tid; sem = s.sem_id });
@@ -859,7 +862,7 @@ and run_instrs k tcb =
       charge k Sim.Trace.Ovh_pool k.cost.pool_admin;
       let mine = live_in tcb p in
       if mine <= 0 then
-        invalid_arg "Kernel: free of a block the job does not hold";
+        raise (Program_rejected "free of a block the job does not hold");
       tcb.live_blocks <-
         (p, mine - 1) :: List.filter (fun (q, _) -> q != p) tcb.live_blocks;
       p.pool_free <- p.pool_free + 1;

@@ -11,6 +11,13 @@
 
 type t
 
+exception Program_rejected of string
+(** Raised by {!run} and {!step} when a job's program breaks an
+    ownership rule the kernel enforces: it frees a pool block it does
+    not hold, or releases a binary semaphore it does not hold.  The
+    argument names the broken rule.  Internal faults stay
+    [Invalid_argument]. *)
+
 val create :
   ?keep_trace:bool ->
   ?stop_on_miss:bool ->

@@ -2,10 +2,8 @@
 
    The baseline run (empty plan, no enforcement) is the pre-PR kernel
    bit for bit; every cell is compared against its trace signature.
-   Static predictions are computed once from the scenario — declared
-   WCETs through RTA with lint-extracted blocking terms, derived
-   demand bounds through the abstract interpreter — and each cell is
-   checked against them with what the run actually observed. *)
+   The scenario's claims are computed once and each cell is checked
+   against them with what the run actually observed. *)
 
 open Emeralds
 
@@ -42,49 +40,6 @@ type t = {
 let tstr ns = Printf.sprintf "%.1f us" (Model.Time.to_us_f ns)
 
 (* ------------------------------------------------------------------ *)
-(* Static predictions *)
-
-type statics = {
-  rta : (Model.Task.t * Model.Time.t) list;
-      (* tasks RTA predicts feasible, with their response bound *)
-  demand : (Model.Task.t * Model.Time.t) list;
-      (* tasks with a finite absint per-job demand bound *)
-}
-
-let compute_statics (cfg : Inject.config) =
-  let sc = cfg.scenario in
-  let tasks = Model.Taskset.tasks sc.taskset in
-  let ctx =
-    Lint.Ctx.make ~irq_signals:sc.irq_signals ~irq_writes:sc.irq_writes
-      ~taskset:sc.taskset ~programs:sc.programs ()
-  in
-  let blocking = Lint.Blocking_terms.blocking_terms ctx in
-  let rows =
-    Array.map
-      (fun (t : Model.Task.t) -> (t.period, t.deadline, t.wcet))
-      tasks
-  in
-  let rta =
-    List.filter_map
-      (fun i ->
-        match Analysis.Rta.response_time ~blocking ~tasks:rows i with
-        | Some r -> Some (tasks.(i), r)
-        | None -> None)
-      (List.init (Array.length tasks) Fun.id)
-  in
-  let demand =
-    match Absint.Report.analyze ~cost:cfg.cost sc with
-    | exception _ -> []
-    | rep ->
-      Array.to_list rep.tasks
-      |> List.filter_map (fun (tb : Absint.Report.task_bound) ->
-             Option.map
-               (fun hi -> (tb.task, hi))
-               (Absint.Itv.hi_int tb.summary.exec))
-  in
-  { rta; demand }
-
-(* ------------------------------------------------------------------ *)
 (* One cell *)
 
 type trace_sig = {
@@ -101,66 +56,36 @@ let trace_sig k =
     sig_switches = Sim.Trace.context_switches tr;
   }
 
-(* Worst per-job demand each task was observed to consume: the running
-   job's banked figure from the enforcement state, joined with every
-   Budget_overrun entry (those carry the consumption at detection). *)
-let observed_demand k =
-  let worst = Hashtbl.create 8 in
-  let note tid v =
-    let cur = Option.value ~default:0 (Hashtbl.find_opt worst tid) in
-    if v > cur then Hashtbl.replace worst tid v
-  in
-  List.iter
-    (fun (s : Kernel.enf_stats) -> note s.e_tid s.e_budget_used)
-    (Kernel.enforcement_stats k);
-  List.iter
-    (fun (st : Sim.Trace.stamped) ->
-      match st.entry with
-      | Sim.Trace.Budget_overrun { tid; used; _ } -> note tid used
-      | _ -> ())
-    (Sim.Trace.entries (Kernel.trace k));
-  fun tid -> Option.value ~default:0 (Hashtbl.find_opt worst tid)
-
-let falsified statics k =
-  let stats = Kernel.stats k in
-  let stat_of tid =
-    List.find_opt (fun (s : Kernel.task_stats) -> s.tid = tid) stats
-  in
-  let demand_of = observed_demand k in
+(* RTA's claim is the RM one, so only an RM run can falsify it; the
+   absint demand bound holds under any scheduler. *)
+let falsified ~rm claims k =
   let rta_falsified =
-    List.filter_map
-      (fun ((task : Model.Task.t), bound) ->
-        match stat_of task.id with
-        | Some s when s.misses > 0 ->
-          (* Only an actual deadline miss falsifies the bound: observed
-             responses include the Table 1 kernel overheads the
-             analytical model deliberately leaves out, so a small
-             response excess over the bound is expected on every run. *)
-          Some
-            {
-              p_source = "rta";
-              p_task = task.id;
-              p_claim =
-                Printf.sprintf
-                  "response-time analysis bounds tau%d's worst response at %s \
-                   (within its %s deadline)"
-                  task.id (tstr bound) (tstr task.deadline);
-              p_observed =
-                (if s.max_response > 0 then
-                   Printf.sprintf "%d deadline miss(es), worst response %s"
-                     s.misses (tstr s.max_response)
-                 else
-                   Printf.sprintf
-                     "%d deadline miss(es), no completion within the horizon"
-                     s.misses);
-            }
-        | _ -> None)
-      statics.rta
+    if not rm then []
+    else
+      List.map
+        (fun ((task : Model.Task.t), bound, (s : Kernel.task_stats)) ->
+          {
+            p_source = "rta";
+            p_task = task.id;
+            p_claim =
+              Printf.sprintf
+                "response-time analysis bounds tau%d's worst response at %s \
+                 (within its %s deadline)"
+                task.id (tstr bound) (tstr task.deadline);
+            p_observed =
+              (if s.max_response > 0 then
+                 Printf.sprintf "%d deadline miss(es), worst response %s"
+                   s.misses (tstr s.max_response)
+               else
+                 Printf.sprintf
+                   "%d deadline miss(es), no completion within the horizon"
+                   s.misses);
+          })
+        (Claims.missed_rta claims k)
   in
   let demand_falsified =
     List.filter_map
-      (fun ((task : Model.Task.t), hi) ->
-        let used = demand_of task.id in
+      (fun ((task : Model.Task.t), hi, used) ->
         if used > hi then
           Some
             {
@@ -172,11 +97,11 @@ let falsified statics k =
               p_observed = Printf.sprintf "a job consumed %s" (tstr used);
             }
         else None)
-      statics.demand
+      (Claims.demand_seen claims k)
   in
   rta_falsified @ demand_falsified
 
-let make_cell (cfg : Inject.config) statics baseline ~label ~plan =
+let make_cell (cfg : Inject.config) claims baseline ~label ~plan =
   let outcome = Inject.run { cfg with plan; keep_trace = true } in
   let k = outcome.kernel in
   let tr = Kernel.trace k in
@@ -209,7 +134,7 @@ let make_cell (cfg : Inject.config) statics baseline ~label ~plan =
       | Some a, Some d -> Some (Model.Time.sub d a)
       | _ -> None);
     c_matches_baseline = s = baseline;
-    c_falsified = falsified statics k;
+    c_falsified = falsified ~rm:(cfg.spec = Sched.Rm) claims k;
   }
 
 let run ?plans (cfg : Inject.config) =
@@ -219,7 +144,7 @@ let run ?plans (cfg : Inject.config) =
     | None ->
       if cfg.plan = Plan.empty then [] else [ (Plan.render cfg.plan, cfg.plan) ]
   in
-  let statics = compute_statics cfg in
+  let claims = Claims.of_scenario ~cost:cfg.cost cfg.scenario in
   let baseline =
     trace_sig
       (Inject.run
@@ -228,7 +153,7 @@ let run ?plans (cfg : Inject.config) =
   in
   let cells =
     List.map
-      (fun (label, plan) -> make_cell cfg statics baseline ~label ~plan)
+      (fun (label, plan) -> make_cell cfg claims baseline ~label ~plan)
       (("no-fault", Plan.empty) :: plans)
   in
   {

@@ -7,10 +7,10 @@
     (budget-exhaustion or deadline-miss policy firing), whether the
     trace stayed identical to the unfaulted baseline — and which
     static predictions the faults falsified.  Falsification is judged
-    against the same analyses the rest of the toolchain trusts: the
-    response-time bounds of {!Analysis.Rta} (fed with
-    [Lint.Blocking_terms]) and the per-job demand bounds of
-    {!Absint.Report}.  A fault plan that makes an analytically
+    against the scenario's {!Claims}, the same ones the campaign and
+    [explain] check: on RM runs, the Table-1-inflated RTA bounds of
+    RTA-eligible tasks; under any scheduler, the per-job demand bounds
+    of {!Absint.Report}.  A fault plan that makes an analytically
     "schedulable" task miss, or a job consume more than its derived
     demand bound, has falsified exactly the prediction a deployed
     system would have been certified on. *)

@@ -585,7 +585,7 @@ let exec_instr c i ~horizon =
     | Machine.IFree p -> (
       match List.assoc_opt p t.live with
       | None | Some 0 ->
-        (* the kernel faults here (invalid_arg); the checker records the
+        (* the kernel rejects the program here; the checker records the
            fault and runs on so one trace can carry several findings *)
         note c
           (Fault

@@ -180,9 +180,6 @@ let scenarios =
 
 let names = List.map fst scenarios
 
-let make name =
-  Option.map (fun mk -> mk ()) (List.assoc_opt name scenarios)
-
 let all () = List.map (fun (_, mk) -> mk ()) scenarios
 
 (* A WCET lie: tau2 declares 1 ms but its program computes 3 ms.  The
@@ -410,3 +407,18 @@ let storm_demo () =
         writes = [];
       };
     ]
+
+(* The demos, under the names every CLI subcommand accepts. *)
+let demos =
+  [
+    ("under-declared-demo", under_declared_wcet);
+    ("over-budget-demo", over_budget); ("deadlock-demo", seeded_deadlock);
+    ("inversion-demo", inversion_demo); ("overrun-demo", overrun_demo);
+    ("alloc-demo", alloc_demo); ("leak-demo", leak_demo);
+    ("double-free-demo", double_free_demo); ("storm-demo", storm_demo);
+  ]
+
+let known = names @ List.map fst demos
+
+let make name =
+  Option.map (fun mk -> mk ()) (List.assoc_opt name (scenarios @ demos))

@@ -41,14 +41,21 @@ type t = {
 }
 
 val names : string list
-(** ["table2"; "engine"; "avionics"; "voice"; "branchy"] — matches the CLI's
-    [--preset] vocabulary. *)
-
-val make : string -> t option
-(** Fresh scenario for a preset name; [None] for unknown names. *)
+(** ["table2"; "engine"; "avionics"; "voice"; "branchy"] — the shipped
+    presets. *)
 
 val all : unit -> t list
 (** A fresh scenario per name, in {!names} order. *)
+
+val known : string list
+(** Every name {!make} accepts: {!names}, then the demos below as
+    ["under-declared-demo"], ["over-budget-demo"], ["deadlock-demo"],
+    ["inversion-demo"], ["overrun-demo"], ["alloc-demo"],
+    ["leak-demo"], ["double-free-demo"] and ["storm-demo"]. *)
+
+val make : string -> t option
+(** Fresh scenario for any name in {!known} — the one vocabulary of
+    the CLI's [--preset]; [None] for unknown names. *)
 
 val under_declared_wcet : unit -> t
 (** A two-task demo whose second task declares a 1 ms WCET but

@@ -125,8 +125,9 @@ let prop_conservation =
    its analytical term — absint demand for execution, the RTA
    decomposition (plus one carry-in job) per interference rank, the
    lint blocking term, and the Table-1 overhead budget at the RTA
-   fixpoint.  Mirrors the campaign's blame oracle as a direct
-   property over presets and input seeds. *)
+   fixpoint.  The bounds are re-derived by hand here as the reference,
+   and [Fault.Claims] — which the campaign's blame oracle and
+   [explain] read — must give the same bound for every (task, term). *)
 let rta_eligible (sc : Workload.Scenario.t) =
   Array.map
     (fun (t : Model.Task.t) ->
@@ -167,47 +168,69 @@ let prop_domination =
       in
       let eligible = rta_eligible scenario in
       let rep = Absint.Report.analyze scenario in
+      let claims = Fault.Claims.of_scenario scenario in
       let b, _ = run_with_blame ~input_seed ~horizon:(ms 150) scenario in
       Array.for_all Fun.id
         (Array.mapi
            (fun i (t : Model.Task.t) ->
-             match
-               ( Obs.Blame.summary b ~tid:t.id,
-                 Analysis.Rta.response_time ~blocking ~tasks:rows i )
-             with
-             | Some s, Some rstar when eligible.(i) && s.s_jobs > 0 ->
-               let exec_ok =
+             let rta =
+               if eligible.(i) then
+                 Analysis.Rta.response_time ~blocking ~tasks:rows i
+               else None
+             in
+             Fault.Claims.rta_bound claims i = rta
+             &&
+             match (Obs.Blame.summary b ~tid:t.id, rta) with
+             | Some s, Some rstar when s.s_jobs > 0 ->
+               let exec =
                  match
                    Array.find_opt
                      (fun (tb : Absint.Report.task_bound) ->
                        tb.task.id = t.id)
                      rep.tasks
                  with
-                 | Some tb -> (
-                   match Absint.Itv.hi_int tb.summary.exec with
-                   | Some hi -> s.s_max_exec <= hi
-                   | None -> true)
-                 | None -> true
+                 | Some tb -> Absint.Itv.hi_int tb.summary.exec
+                 | None -> None
                in
-               let interference_ok =
-                 match Analysis.Rta.decompose ~blocking ~tasks:rows i with
-                 | Some dec ->
-                   List.for_all
-                     (fun (j, v) ->
+               let interference (j, _) =
+                 ( Fault.Claims.Interference j,
+                   Option.map
+                     (fun (dec : Analysis.Rta.decomposition) ->
                        let _, _, cj = rows.(j) in
-                       v <= dec.Analysis.Rta.dec_interference.(j) + cj)
-                     s.s_max_interference
-                 | None -> true
+                       dec.dec_interference.(j) + cj)
+                     (Analysis.Rta.decompose ~blocking ~tasks:rows i) )
                in
-               let blocking_ok = s.s_max_blocking_total <= blocking.(i) in
-               let overhead_ok =
-                 s.s_max_overhead_total
-                 <= Analysis.Overhead.job_budget ~cost:Sim.Cost.m68040
-                      ~spec:Emeralds.Sched.Rm ~taskset:scenario.taskset
-                      ~programs:(Array.map scenario.programs tasks)
-                      ~rank:i ~response:rstar ~irqs:s.s_max_irqs
+               let overhead =
+                 Analysis.Overhead.job_budget ~cost:Sim.Cost.m68040
+                   ~spec:Emeralds.Sched.Rm ~taskset:scenario.taskset
+                   ~programs:(Array.map scenario.programs tasks)
+                   ~rank:i ~response:rstar ~irqs:s.s_max_irqs
                in
-               exec_ok && interference_ok && blocking_ok && overhead_ok
+               let reference =
+                 ((Fault.Claims.Exec, exec)
+                 :: List.map interference s.s_max_interference)
+                 @ [
+                     (Fault.Claims.Blocking, Some blocking.(i));
+                     (Fault.Claims.Overhead, Some overhead);
+                   ]
+               in
+               let observed =
+                 (s.s_max_exec :: List.map snd s.s_max_interference)
+                 @ [ s.s_max_blocking_total; s.s_max_overhead_total ]
+               in
+               let dominated =
+                 List.for_all2
+                   (fun (_, bound) v ->
+                     match bound with Some hi -> v <= hi | None -> true)
+                   reference observed
+               in
+               let same_claims =
+                 List.map
+                   (fun (c : Fault.Claims.blame_bound) -> (c.term, c.bound))
+                   (Fault.Claims.blame_bounds claims s)
+                 = reference
+               in
+               dominated && same_claims
              | _ -> true)
            tasks))
 

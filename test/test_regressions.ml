@@ -352,6 +352,24 @@ let test_deadlock_names_only_the_cycle () =
     check string "only the cycle's members are named"
       "circular wait: lo -> mid" cex.message
 
+(* inject's RTA predictions once ran RTA on declared WCETs under any
+   scheduler, so the unfaulted table2 run "falsified" tau4's 4 ms bound.
+   The claim is the campaign's: Table-1-inflated, RTA-eligible tasks,
+   RM runs only — and that RTA rates tau4 infeasible, so an empty plan
+   falsifies nothing. *)
+let test_inject_claims_match_campaign () =
+  let scenario = Option.get (Workload.Scenario.make "table2") in
+  let r = Fault.Report.run (Fault.Inject.default_config ~scenario ()) in
+  match r.r_cells with
+  | cell :: _ ->
+    check string "first cell" "no-fault" cell.c_label;
+    check (list string) "no falsified prediction" []
+      (List.map
+         (fun (p : Fault.Report.prediction) ->
+           Printf.sprintf "tau%d/%s" p.p_task p.p_source)
+         cell.c_falsified)
+  | [] -> fail "report has no cells"
+
 let suite =
   [
     test_case "budget probe fires when detection is overdue" `Quick
@@ -368,4 +386,6 @@ let suite =
       test_spec_file_name_escaping;
     test_case "deadlock message names only the cycle" `Quick
       test_deadlock_names_only_the_cycle;
+    test_case "inject claims on table2 match the campaign's" `Quick
+      test_inject_claims_match_campaign;
   ]

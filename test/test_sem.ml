@@ -346,7 +346,7 @@ let test_release_unheld_rejected () =
     (try
        ignore (run_k ~programs ts ~until:(ms 5));
        false
-     with Invalid_argument _ -> true)
+     with Kernel.Program_rejected _ -> true)
 
 let test_queue_wakeup_order () =
   (* Three waiters of different priorities: the grant order follows
