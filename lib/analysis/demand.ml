@@ -34,6 +34,13 @@ let busy_period ~own ~interference ~limit =
   in
   if w0 = 0 then Some 0 else iterate w0 0
 
+(* Processor-demand check over the own deadlines in the synchronous
+   busy period [0, H], walked backwards (QPA, Zhang & Burns 2009).
+   The demand h(t) = sum dbf + sum rbf is non-decreasing, so a passing
+   check h(t) = d <= t also passes every deadline in [d, t]: the walk
+   jumps from [t] to the latest own deadline strictly below [d], not
+   to [d] itself as plain QPA does, so every point it evaluates is one
+   of the deadlines a forward walk would check. *)
 let feasible ?(max_points = 200_000) ~own ~interference () =
   let u = utilization own interference in
   if u > 1.0 +. 1e-12 then false
@@ -41,35 +48,42 @@ let feasible ?(max_points = 200_000) ~own ~interference () =
     match busy_period ~own ~interference ~limit:5_000 with
     | None -> false (* did not converge: treat as infeasible *)
     | Some horizon ->
-      let demand_ok t =
+      let n = Array.length own in
+      let points =
+        Array.fold_left
+          (fun acc (p, dl, _) ->
+            if dl <= horizon then acc + ((horizon - dl) / p) + 1 else acc)
+          0 own
+      in
+      let demand t =
         let d = ref 0 in
-        Array.iter
-          (fun (p, dl, c) -> d := !d + dbf ~period:p ~deadline:dl ~wcet:c t)
-          own;
-        Array.iter
-          (fun (p, c) -> d := !d + rbf ~period:p ~wcet:c t)
-          interference;
-        !d <= t
+        for i = 0 to n - 1 do
+          let p, dl, c = own.(i) in
+          d := !d + dbf ~period:p ~deadline:dl ~wcet:c t
+        done;
+        for i = 0 to Array.length interference - 1 do
+          let p, c = interference.(i) in
+          d := !d + rbf ~period:p ~wcet:c t
+        done;
+        !d
       in
-      (* Walk the own-task deadlines in ascending order with a k-way
-         merge; each entry is (next deadline, task index). *)
-      let heap = Util.Pqueue.create ~cmp:(fun (a, _) (b, _) -> compare a b) () in
-      Array.iteri
-        (fun i (_, dl, _) ->
-          if dl <= horizon then ignore (Util.Pqueue.add heap (dl, i)))
-        own;
-      let rec walk points =
-        if points > max_points then false (* resource cap: be conservative *)
-        else
-          match Util.Pqueue.pop heap with
-          | None -> true
-          | Some (t, i) ->
-            demand_ok t
-            &&
-            let p, dl, _ = own.(i) in
-            let next = t + p in
-            if next <= horizon && next - dl <= horizon then
-              ignore (Util.Pqueue.add heap (next, i));
-            walk (points + 1)
+      (* Latest own deadline strictly below [x <= H + 1], or [min_int]. *)
+      let latest_below x =
+        let best = ref min_int in
+        for i = 0 to n - 1 do
+          let p, dl, _ = own.(i) in
+          if dl < x then begin
+            let t = dl + ((x - 1 - dl) / p * p) in
+            if t > !best then best := t
+          end
+        done;
+        !best
       in
-      walk 0
+      let rec walk t =
+        t = min_int
+        ||
+        let d = demand t in
+        d <= t && walk (latest_below d)
+      in
+      (* more check points than [max_points]: be conservative *)
+      points <= max_points && walk (latest_below (horizon + 1))

@@ -17,7 +17,10 @@ val feasible :
 (** [feasible ~own ~interference ()] — can the [own] tasks
     [(period, deadline, wcet)] meet all deadlines under EDF while the
     [interference] tasks [(period, wcet)] preempt them arbitrarily
-    (ceiling request-bound)?  Checks every [own] deadline within the
-    synchronous busy period.  Conservative on resource exhaustion: more
-    than [max_points] check points (default 200_000) reports
-    infeasible. *)
+    (ceiling request-bound)?  Deadlines are non-negative, as every
+    {!Model.Task} deadline is.  The verdict equals checking every [own]
+    deadline within the synchronous busy period; the walk goes backwards
+    from the period's end and skips the deadlines the demand already
+    proves safe.  Conservative on resource exhaustion: the cap counts
+    those deadlines and is decided before the walk, so more than
+    [max_points] of them (default 200_000) reports infeasible. *)

@@ -72,16 +72,24 @@ let csd_overhead cost ~dp_lens ~fp_len ~q ~parse_queues =
       ~t_u:cost.Cost.rm_tu ~t_s_block:cost.Cost.rm_ts ~t_s_unblock ~parse
   end
 
-let per_task ~cost ~spec ~n ~rank =
+(* Per-rank overhead of an [n]-task workload.  It depends only on the
+   task's queue (there is one queue outside CSD), so each queue's row
+   is priced once and every rank looks its queue up. *)
+let pricer ~cost ~spec ~n =
   match (spec : Emeralds.Sched.spec) with
-  | Edf -> edf_overhead cost ~n
-  | Rm -> rm_overhead cost ~n
-  | Rm_heap -> heap_overhead cost ~n
+  | Edf -> Fun.const (edf_overhead cost ~n)
+  | Rm -> Fun.const (rm_overhead cost ~n)
+  | Rm_heap -> Fun.const (heap_overhead cost ~n)
   | Csd sizes ->
     let dp_lens, fp_len = layout sizes n in
-    let q = queue_of_rank dp_lens rank in
-    csd_overhead cost ~dp_lens ~fp_len ~q
-      ~parse_queues:(List.length sizes + 1)
+    let parse_queues = List.length sizes + 1 in
+    let by_queue =
+      Array.init (List.length dp_lens + 1) (fun q ->
+          csd_overhead cost ~dp_lens ~fp_len ~q ~parse_queues)
+    in
+    fun rank -> by_queue.(queue_of_rank dp_lens rank)
+
+let per_task ~cost ~spec ~n ~rank = pricer ~cost ~spec ~n rank
 
 (* ------------------------------------------------------------------ *)
 (* Per-job charge envelopes: what the kernel's Table 1 charges can add
@@ -181,8 +189,8 @@ let job_budget ~cost ~spec ~taskset ~programs ~rank ~response ~irqs =
 
 let inflate ~cost ~spec taskset =
   let n = Model.Taskset.size taskset in
+  let overhead = pricer ~cost ~spec ~n in
   Array.mapi
     (fun rank (task : Model.Task.t) ->
-      let overhead = per_task ~cost ~spec ~n ~rank in
-      (task.period, task.deadline, task.wcet + overhead))
+      (task.period, task.deadline, task.wcet + overhead rank))
     (Model.Taskset.tasks taskset)

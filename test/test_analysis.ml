@@ -207,7 +207,9 @@ let test_demand_resource_cap () =
   check bool "feasible with enough points" true
     (Analysis.Demand.feasible ~own ~interference:[||] ());
   check bool "conservative when capped" false
-    (Analysis.Demand.feasible ~max_points:2 ~own ~interference:[||] ())
+    (Analysis.Demand.feasible ~max_points:2 ~own ~interference:[||] ());
+  check bool "a cap of exactly three points suffices" true
+    (Analysis.Demand.feasible ~max_points:3 ~own ~interference:[||] ())
 
 let test_rta_iteration_limit () =
   let rows = [| (ms 10, ms 10, ms 5); (ms 10, ms 10, ms 5) |] in
@@ -284,6 +286,210 @@ let prop_demand_agrees_with_sim =
       let missed = Emeralds.Kernel.total_misses k > 0 in
       feasible = not missed)
 
+(* The forward walk the backward one replaced: every own deadline in
+   the synchronous busy period, in ascending order through a k-way
+   merge, with the same point cap.  It also returns how many
+   deadlines it checked; with [~check:false] that is all of them. *)
+let forward_feasible ?(max_points = 200_000) ?(check = true) ~own
+    ~interference () =
+  let rbf ~period ~wcet t = Util.Intmath.ceil_div t period * wcet in
+  let u =
+    Array.fold_left
+      (fun u (p, _, c) -> u +. (float_of_int c /. float_of_int p))
+      0.0 own
+    +. Array.fold_left
+         (fun u (p, c) -> u +. (float_of_int c /. float_of_int p))
+         0.0 interference
+  in
+  let busy_period () =
+    let total w =
+      Array.fold_left (fun a (p, _, c) -> a + rbf ~period:p ~wcet:c w) 0 own
+      + Array.fold_left (fun a (p, c) -> a + rbf ~period:p ~wcet:c w) 0
+          interference
+    in
+    let w0 =
+      Array.fold_left (fun a (_, _, c) -> a + c) 0 own
+      + Array.fold_left (fun a (_, c) -> a + c) 0 interference
+    in
+    let rec iterate w steps =
+      if steps > 5_000 then None
+      else
+        let w' = total w in
+        if w' = w then Some w else iterate w' (steps + 1)
+    in
+    if w0 = 0 then Some 0 else iterate w0 0
+  in
+  if u > 1.0 +. 1e-12 then (false, 0)
+  else
+    match busy_period () with
+    | None -> (false, 0)
+    | Some horizon ->
+      let demand_ok t =
+        (not check)
+        || Array.fold_left
+             (fun d (p, dl, c) ->
+               d + Analysis.Demand.dbf ~period:p ~deadline:dl ~wcet:c t)
+             0 own
+           + Array.fold_left
+               (fun d (p, c) -> d + rbf ~period:p ~wcet:c t)
+               0 interference
+           <= t
+      in
+      let heap =
+        Util.Pqueue.create ~cmp:(fun (a, _) (b, _) -> compare a b) ()
+      in
+      Array.iteri
+        (fun i (_, dl, _) ->
+          if dl <= horizon then ignore (Util.Pqueue.add heap (dl, i)))
+        own;
+      let rec walk points =
+        if points > max_points then (false, points)
+        else
+          match Util.Pqueue.pop heap with
+          | None -> (true, points)
+          | Some (t, i) ->
+            if not (demand_ok t) then (false, points)
+            else begin
+              let p, dl, _ = own.(i) in
+              let next = t + p in
+              if next <= horizon && next - dl <= horizon then
+                ignore (Util.Pqueue.add heap (next, i));
+              walk (points + 1)
+            end
+      in
+      walk 0
+
+(* Periods with common factors, so deadlines of different tasks tie;
+   constrained deadlines; 0-4 interference tasks.  With the fixed seed
+   below, about a quarter of the 2000 cases are over-utilized, 45% fail
+   a deadline check, 20% pass and 10% trip the cap. *)
+let gen_demand_case =
+  QCheck2.Gen.(
+    let period = oneofl [ 4; 6; 8; 12; 16; 24; 48 ] in
+    let* n = int_range 1 8 in
+    let* own =
+      list_repeat n
+        (let* p = period in
+         let* dl = int_range 1 p in
+         let* c = int_range 1 (max 1 (dl / (n + 1))) in
+         return (p, dl, c))
+    in
+    let* interference =
+      list_size (int_bound 4)
+        (let* p = period in
+         let* c = int_range 1 (max 1 (p / 8)) in
+         return (p, c))
+    in
+    let own = Array.of_list own and interference = Array.of_list interference in
+    let _, points =
+      forward_feasible ~check:false ~max_points:max_int ~own ~interference ()
+    in
+    let* max_points =
+      oneofl [ Some (points - 1); Some points; Some (points + 1); None ]
+    in
+    return (own, interference, max_points))
+
+let prop_demand_walks_agree =
+  QCheck_alcotest.to_alcotest ~speed_level:`Quick
+    ~rand:(Random.State.make [| 15 |])
+    (QCheck2.Test.make ~count:2000
+       ~name:"backward demand walk = forward walk, cap included"
+       gen_demand_case
+       (fun (own, interference, max_points) ->
+         Analysis.Demand.feasible ?max_points ~own ~interference ()
+         = fst (forward_feasible ?max_points ~own ~interference ())))
+
+let test_inflate_per_queue () =
+  List.iter
+    (fun n ->
+      let ts =
+        Workload.Generator.random_taskset ~rng:(Util.Rng.create ~seed:n) ~n ()
+      in
+      let tasks = Model.Taskset.tasks ts in
+      List.iter
+        (fun queues ->
+          List.iter
+            (fun sizes ->
+              let spec = Emeralds.Sched.Csd sizes in
+              let by_rank =
+                Array.mapi
+                  (fun rank (t : Model.Task.t) ->
+                    ( t.period,
+                      t.deadline,
+                      t.wcet + Analysis.Overhead.per_task ~cost ~spec ~n ~rank ))
+                  tasks
+              in
+              check bool
+                (Printf.sprintf "n=%d %s" n
+                   (String.concat "," (List.map string_of_int sizes)))
+                true
+                (Analysis.Overhead.inflate ~cost ~spec ts = by_rank))
+            (Analysis.Partition.candidates ~mode:Grid ~queues ~n))
+        [ 2; 3; 4 ])
+    [ 5; 23; 50 ]
+
+(* Breakdown utilizations of [Generator.batch ~seed:15 ~count:2] sets,
+   as (n, period divisor, set, [EDF; RM; CSD-2; CSD-3; CSD-4]) in %h,
+   recorded with the forward demand walk.  Any change to the demand
+   test, the overhead model or the searches that moves a result by
+   one ulp shows here. *)
+let breakdown_pins =
+  [
+    (10, 1, 0,
+      [ "0x1.fa2cccccccccdp-1"; "0x1.f2247ae147ae2p-1"; "0x1.f82ab851eb852p-1";
+        "0x1.f82ab851eb852p-1"; "0x1.f82ab851eb852p-1" ] );
+    (10, 1, 1,
+      [ "0x1.fc2ee147ae148p-1"; "0x1.cbfcf5c28f5c3p-1"; "0x1.fc2ee147ae148p-1";
+        "0x1.fc2ee147ae148p-1"; "0x1.fc2ee147ae148p-1" ] );
+    (10, 3, 0,
+      [ "0x1.ee2051eb851ecp-1"; "0x1.ea1c28f5c28f6p-1"; "0x1.ea1c28f5c28f6p-1";
+        "0x1.ec1e3d70a3d71p-1"; "0x1.ea1c28f5c28f6p-1" ] );
+    (10, 3, 1,
+      [ "0x1.f628a3d70a3d8p-1"; "0x1.c7f8ccccccccdp-1"; "0x1.f4268f5c28f5dp-1";
+        "0x1.f4268f5c28f5dp-1"; "0x1.f4268f5c28f5dp-1" ] );
+    (30, 1, 0,
+      [ "0x1.e415eb851eb85p-1"; "0x1.d6075c28f5c2ap-1"; "0x1.e011c28f5c28fp-1";
+        "0x1.ea1c28f5c28f6p-1"; "0x1.ea1c28f5c28f6p-1" ] );
+    (30, 1, 1,
+      [ "0x1.e213d70a3d70ap-1"; "0x1.bbec51eb851ecp-1"; "0x1.de0fae147ae14p-1";
+        "0x1.e81a147ae147bp-1"; "0x1.ea1c28f5c28f6p-1" ] );
+    (30, 3, 0,
+      [ "0x1.abdbae147ae15p-1"; "0x1.afdfd70a3d70bp-1"; "0x1.b5e6147ae147cp-1";
+        "0x1.bdee666666666p-1"; "0x1.c3f4a3d70a3d7p-1" ] );
+    (30, 3, 1,
+      [ "0x1.a7d7851eb851fp-1"; "0x1.95c4ccccccccep-1"; "0x1.9fcf333333333p-1";
+        "0x1.b9ea3d70a3d71p-1"; "0x1.bff07ae147ae1p-1" ] );
+    (50, 1, 0,
+      [ "0x1.b7e828f5c28f6p-1"; "0x1.a7d7851eb851fp-1"; "0x1.b3e4000000001p-1";
+        "0x1.cdff0a3d70a3ep-1"; "0x1.d6075c28f5c2ap-1" ] );
+    (50, 1, 1,
+      [ "0x1.b7e828f5c28f6p-1"; "0x1.9dcd1eb851eb8p-1"; "0x1.b1e1eb851eb86p-1";
+        "0x1.cdff0a3d70a3ep-1"; "0x1.d40547ae147afp-1" ] );
+    (50, 3, 0,
+      [ "0x1.2d58a3d70a3d8p-1"; "0x1.4b77d70a3d70bp-1"; "0x1.69970a3d70a3ep-1";
+        "0x1.77a599999999ap-1"; "0x1.81bp-1" ] );
+    (50, 3, 1,
+      [ "0x1.29547ae147ae2p-1"; "0x1.416d70a3d70a4p-1"; "0x1.5f8ca3d70a3d7p-1";
+        "0x1.6d9b333333334p-1"; "0x1.7fadeb851eb85p-1" ] );
+  ]
+
+let test_breakdown_pins () =
+  List.iter
+    (fun (n, divisor, i, expected) ->
+      let ts = List.nth (Workload.Generator.batch ~seed:15 ~n ~count:2 ()) i in
+      let ts =
+        if divisor = 1 then ts
+        else Option.get (Model.Taskset.scale_periods_down ts divisor)
+      in
+      let spec spec = Analysis.Breakdown.of_spec ~cost ~spec ts in
+      let csd queues = Analysis.Breakdown.of_csd ~cost ~queues ts in
+      check (list string)
+        (Printf.sprintf "n=%d /%d set %d" n divisor i)
+        expected
+        (List.map (Printf.sprintf "%h")
+           [ spec Emeralds.Sched.Edf; spec Emeralds.Sched.Rm; csd 2; csd 3; csd 4 ]))
+    breakdown_pins
+
 let suite =
   [
     test_case "rta: textbook example" `Quick test_rta_known_example;
@@ -308,4 +514,8 @@ let suite =
     test_case "breakdown: input validation" `Quick
       test_breakdown_rejects_empty_utilization;
     prop_demand_agrees_with_sim;
+    prop_demand_walks_agree;
+    test_case "overhead: inflate matches per_task rank by rank" `Quick
+      test_inflate_per_queue;
+    test_case "breakdown: results pinned bit for bit" `Quick test_breakdown_pins;
   ]
