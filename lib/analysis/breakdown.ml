@@ -47,21 +47,17 @@ let of_csd ?tol ?(mode = Partition.Grid) ~cost ~queues taskset =
       let test sizes =
         Feasibility.feasible ~cost ~spec:(Emeralds.Sched.Csd sizes) scaled
       in
-      let ordered =
-        match !last_good with
-        | Some sizes -> sizes :: List.filter (fun c -> c <> sizes) candidates
-        | None -> candidates
-      in
-      let rec try_all = function
-        | [] -> false
-        | sizes :: rest ->
-          if test sizes then begin
-            last_good := Some sizes;
-            true
-          end
-          else try_all rest
-      in
-      try_all ordered
+      (* [last_good] first, then the other candidates in order. *)
+      let last = !last_good in
+      (match last with Some good -> test good | None -> false)
+      || List.exists
+           (fun sizes ->
+             last <> Some sizes && test sizes
+             && begin
+               last_good := Some sizes;
+               true
+             end)
+           candidates
   in
   let u0 = Model.Taskset.utilization taskset in
   search ?tol ~feasible ~u0 ()

@@ -1,7 +1,14 @@
 let dbf ~period ~deadline ~wcet t =
   if t < deadline then 0 else (((t - deadline) / period) + 1) * wcet
 
-let rbf ~period ~wcet t = Util.Intmath.ceil_div t period * wcet
+(* Module-local so the demand loops inline it: dune's dev profile
+   compiles with -opaque, which hides [Util.Intmath]'s body from this
+   module. *)
+let[@inline] ceil_div a b =
+  assert (b > 0 && a >= 0);
+  (a + b - 1) / b
+
+let[@inline] rbf ~period ~wcet t = ceil_div t period * wcet
 
 let utilization own interference =
   let u = ref 0.0 in

@@ -6,7 +6,17 @@
     processor-demand criterion for EDF, and the hierarchical test for
     CSD partitions (FP tasks by RTA against all shorter-period tasks;
     each DP queue by EDF demand under ceiling interference from the
-    queues above it). *)
+    queues above it).
+
+    The CSD test first rejects an inflated total utilization above
+    [1 + 1e-12], the demand test's own bound, before any fixpoint
+    runs.  It does so only when the FP queue is empty (the last DP
+    queue's demand test then carries every row) or its lowest rank has
+    [d <= p] and [C > 0] (its response time then exceeds its period
+    whenever U > 1); a lowest FP rank with [d > p] can pass its
+    first-job RTA at U > 1, and its verdict is left to the RTA.  The FP
+    ranks' RTA is warm-started as in {!Rta.feasible}.  Both leave every
+    verdict unchanged. *)
 
 val feasible :
   ?max_points:int ->

@@ -1,14 +1,21 @@
-let response_time ?(limit = 10_000) ?blocking ~tasks i =
-  let _, deadline, wcet = tasks.(i) in
-  let b = match blocking with None -> 0 | Some terms -> terms.(i) in
-  let base = wcet + b in
+(* Module-local so the fixpoint loop inlines it: dune's dev profile
+   compiles with -opaque, which hides [Util.Intmath]'s body from this
+   module. *)
+let[@inline] ceil_div a b =
+  assert (b > 0 && a >= 0);
+  (a + b - 1) / b
+
+(* Least fixpoint of R = base + sum_{j<i} ceil(R/T_j) C_j, iterated
+   from [start], which must lie at or below it with f(start) >= start;
+   [None] once an iterate passes [deadline] or [limit] steps. *)
+let fixpoint ~limit ~tasks ~deadline ~base i start =
   let rec iterate r steps =
     if steps > limit then None
     else begin
       let interference = ref 0 in
       for j = 0 to i - 1 do
         let period_j, _, wcet_j = tasks.(j) in
-        interference := !interference + (Util.Intmath.ceil_div r period_j * wcet_j)
+        interference := !interference + (ceil_div r period_j * wcet_j)
       done;
       let r' = base + !interference in
       if r' > deadline then None
@@ -16,7 +23,12 @@ let response_time ?(limit = 10_000) ?blocking ~tasks i =
       else iterate r' (steps + 1)
     end
   in
-  iterate base 0
+  iterate start 0
+
+let response_time ?(limit = 10_000) ?blocking ~tasks i =
+  let _, deadline, wcet = tasks.(i) in
+  let b = match blocking with None -> 0 | Some terms -> terms.(i) in
+  fixpoint ~limit ~tasks ~deadline ~base:(wcet + b) i (wcet + b)
 
 type decomposition = {
   dec_response : int;
@@ -39,7 +51,7 @@ let decompose ?limit ?blocking ~tasks i =
     let interference =
       Array.init i (fun j ->
           let period_j, _, wcet_j = tasks.(j) in
-          Util.Intmath.ceil_div r period_j * wcet_j)
+          ceil_div r period_j * wcet_j)
     in
     Some
       {
@@ -49,15 +61,29 @@ let decompose ?limit ?blocking ~tasks i =
         dec_interference = interference;
       }
 
-let feasible_prefix ?limit ?blocking tasks ~upto =
-  let rec loop i =
+(* Ranks [from..upto-1] in turn.  Warm start (Davis, Zabos & Burns
+   2008): without blocking terms and with C_i > 0, R_i - C_i =
+   sum_{j<i} ceil(R_i/T_j) C_j is a pre-fixpoint of rank i-1's
+   response function, so R_i >= R_{i-1} + C_i, and that start also
+   satisfies f_i(start) >= start.  Iterating from it reaches the same
+   least fixpoint as the cold start C_i, in fewer steps.  A rank with
+   C_i = 0 has R_i = 0 and starts cold, and so does every rank under
+   blocking terms, which can shrink from rank to rank. *)
+let feasible_range ?(limit = 10_000) ?blocking tasks ~from ~upto =
+  let rec loop i prev =
     i >= upto
     ||
-    match response_time ?limit ?blocking ~tasks i with
-    | Some _ -> loop (i + 1)
+    let _, deadline, wcet = tasks.(i) in
+    let base = match blocking with None -> wcet | Some terms -> wcet + terms.(i) in
+    let start = match blocking with None when wcet > 0 -> prev + wcet | _ -> base in
+    match fixpoint ~limit ~tasks ~deadline ~base i start with
+    | Some r -> loop (i + 1) r
     | None -> false
   in
-  loop 0
+  loop from 0
+
+let feasible_prefix ?limit ?blocking tasks ~upto =
+  feasible_range ?limit ?blocking tasks ~from:0 ~upto
 
 let feasible ?limit ?blocking tasks =
   feasible_prefix ?limit ?blocking tasks ~upto:(Array.length tasks)

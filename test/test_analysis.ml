@@ -428,6 +428,181 @@ let test_inflate_per_queue () =
         [ 2; 3; 4 ])
     [ 5; 23; 50 ]
 
+(* ------------------------------------------------------------------ *)
+(* Warm-started RTA and the pre-screened CSD test against the cold,
+   unscreened code they replaced *)
+
+(* The cold-start RTA: every rank iterates from its own C_i + B_i. *)
+let cold_response_time ?(limit = 10_000) ?blocking ~tasks i =
+  let _, deadline, wcet = tasks.(i) in
+  let b = match blocking with None -> 0 | Some terms -> terms.(i) in
+  let base = wcet + b in
+  let rec iterate r steps =
+    if steps > limit then None
+    else begin
+      let interference = ref 0 in
+      for j = 0 to i - 1 do
+        let period_j, _, wcet_j = tasks.(j) in
+        interference := !interference + (Util.Intmath.ceil_div r period_j * wcet_j)
+      done;
+      let r' = base + !interference in
+      if r' > deadline then None
+      else if r' = r then Some r
+      else iterate r' (steps + 1)
+    end
+  in
+  iterate base 0
+
+let cold_feasible_range ?limit ?blocking ?(from = 0) tasks ~upto =
+  let rec loop i =
+    i >= upto
+    ||
+    match cold_response_time ?limit ?blocking ~tasks i with
+    | Some _ -> loop (i + 1)
+    | None -> false
+  in
+  loop from
+
+(* The CSD test with a cold FP loop and no utilization pre-check. *)
+let reference_csd_feasible ?max_points sizes rows =
+  let n = Array.length rows in
+  let dp_lens, fp_len = Analysis.Overhead.layout sizes n in
+  cold_feasible_range rows ~from:(n - fp_len) ~upto:n
+  &&
+  let rec check_queue start = function
+    | [] -> true
+    | len :: rest ->
+      let own = Array.sub rows start len in
+      let interference =
+        Array.map (fun (p, _, c) -> (p, c)) (Array.sub rows 0 start)
+      in
+      Analysis.Demand.feasible ?max_points ~own ~interference ()
+      && check_queue (start + len) rest
+  in
+  check_queue 0 dp_lens
+
+(* RM-ordered rows with deadlines up to twice the period, some zero
+   WCETs, optional blocking terms, a prefix length and sometimes a
+   limit small enough to bind. *)
+let gen_rta_case =
+  QCheck2.Gen.(
+    let* n = int_range 1 8 in
+    let* rows =
+      list_repeat n
+        (let* p = oneof [ oneofl [ 4; 6; 8; 12; 16; 24; 48 ]; int_range 1 100 ] in
+         let* d = int_range 1 (2 * p) in
+         let* c = int_range 0 (max 1 (2 * p / n)) in
+         return (p, d, c))
+    in
+    let rows = Array.of_list (List.stable_sort compare rows) in
+    let* blocking = option (array_repeat n (int_range 0 4)) in
+    let* limit = oneof [ return None; map Option.some (int_range 0 3) ] in
+    let* upto = int_range 0 n in
+    return (rows, blocking, limit, upto))
+
+let prop_rta_warm_equals_cold =
+  QCheck_alcotest.to_alcotest ~speed_level:`Quick
+    ~rand:(Random.State.make [| 16 |])
+    (QCheck2.Test.make ~count:3000
+       ~name:"warm-started RTA = cold RTA; a binding limit only helps"
+       gen_rta_case
+       (fun (rows, blocking, limit, upto) ->
+         let warm =
+           Analysis.Rta.feasible_prefix ?limit ?blocking rows ~upto
+         and cold = cold_feasible_range ?limit ?blocking rows ~upto in
+         let whole = Analysis.Rta.feasible ?limit ?blocking rows
+         and whole_cold =
+           cold_feasible_range ?limit ?blocking rows ~upto:(Array.length rows)
+         in
+         match (blocking, limit) with
+         | Some _, _ | None, None -> warm = cold && whole = whole_cold
+         | None, Some _ ->
+           (* the warm start needs no more steps than the cold one, and
+              never passes a set the unlimited test rejects *)
+           ((not cold) || warm)
+           && ((not warm) || cold_feasible_range rows ~upto)
+           && ((not whole_cold) || whole)
+           && ((not whole) || cold_feasible_range rows ~upto:(Array.length rows))))
+
+(* Rows whose utilization is random, or (with periods in units of 10^12)
+   exactly 1 or within about 2e-12 of it either side, so the float
+   pre-check's 1 + 1e-12 threshold is crossed; deadlines up to twice
+   the period, often equal to it. *)
+let gen_csd_case =
+  QCheck2.Gen.(
+    let* n = int_range 1 8 in
+    let* near_one = bool in
+    let scale = if near_one then 1_000_000_000_000 else 1 in
+    let* rows =
+      list_repeat n
+        (let* p = oneofl [ 4; 6; 8; 12; 16; 24; 48 ] in
+         let* d = oneof [ return p; int_range 1 (2 * p) ] in
+         let* c = int_range 0 (max 1 (p / n)) in
+         return (p * scale, d * scale, c * scale))
+    in
+    let* rows =
+      if not near_one then return rows
+      else
+        (* One 48-unit row absorbs the remainder: its WCET is set so that
+           sum C_i * (L / T_i) = L + delta with L = 48 * scale. *)
+        let l = 48 * scale in
+        let* k = int_bound (n - 1) in
+        let* d = oneof [ return 48; int_range 1 96 ] in
+        let* delta = oneof [ return 0; int_range (-100) 100 ] in
+        let rows =
+          List.mapi (fun i r -> if i = k then (l, d * scale, 0) else r) rows
+        in
+        let rest = List.fold_left (fun a (p, _, c) -> a + (c * (l / p))) 0 rows in
+        return
+          (List.mapi
+             (fun i (p, d, c) -> if i = k then (p, d, max 0 (l + delta - rest)) else (p, d, c))
+             rows)
+    in
+    let rows = Array.of_list (List.stable_sort compare rows) in
+    let* max_points = oneof [ return None; map Option.some (int_range 0 20) ] in
+    return (rows, max_points))
+
+let prop_csd_screened_equals_reference =
+  QCheck_alcotest.to_alcotest ~speed_level:`Quick
+    ~rand:(Random.State.make [| 16 |])
+    (QCheck2.Test.make ~count:400
+       ~name:"screened, warm CSD test = cold CSD test on every Grid candidate"
+       gen_csd_case
+       (fun (rows, max_points) ->
+         let n = Array.length rows in
+         List.for_all
+           (fun queues ->
+             List.for_all
+               (fun sizes ->
+                 Analysis.Feasibility.feasible_rows ?max_points
+                   ~spec:(Emeralds.Sched.Csd sizes) rows
+                 = reference_csd_feasible ?max_points sizes rows)
+               (Analysis.Partition.candidates ~mode:Grid ~queues ~n))
+           [ 2; 3; 4 ]))
+
+(* The utilization pre-check fires only where the unscreened test
+   would reject anyway: never when the lowest FP rank has d > p. *)
+let test_csd_precheck_precondition () =
+  let csd sizes rows =
+    Analysis.Feasibility.feasible_rows ~spec:(Emeralds.Sched.Csd sizes) rows
+  in
+  (* U = 1.1; the FP rank's first job ends at 17 <= 100 *)
+  let late = [| (10, 10, 6); (10, 100, 5) |] in
+  check bool "reference: FP rank with d > p passes at U > 1" true
+    (reference_csd_feasible [ 1 ] late);
+  check bool "FP rank with d > p passes at U > 1" true (csd [ 1 ] late);
+  check bool "no FP queue: U > 1 rejected" false (csd [ 2 ] late);
+  let tight = [| (10, 10, 6); (10, 10, 5) |] in
+  check bool "reference: FP rank with d <= p rejected" false
+    (reference_csd_feasible [ 1 ] tight);
+  check bool "FP rank with d <= p rejected" false (csd [ 1 ] tight);
+  check bool "no FP queue, d <= p: rejected" false (csd [ 2 ] tight);
+  (* a zero-WCET lowest rank responds at 0, whatever U is above it *)
+  let idle = [| (10, 10, 6); (10, 100, 5); (10, 10, 0) |] in
+  check bool "reference: zero-WCET lowest FP rank passes at U > 1" true
+    (reference_csd_feasible [ 1 ] idle);
+  check bool "zero-WCET lowest FP rank passes at U > 1" true (csd [ 1 ] idle)
+
 (* Breakdown utilizations of [Generator.batch ~seed:15 ~count:2] sets,
    as (n, period divisor, set, [EDF; RM; CSD-2; CSD-3; CSD-4]) in %h,
    recorded with the forward demand walk.  Any change to the demand
@@ -518,4 +693,8 @@ let suite =
     test_case "overhead: inflate matches per_task rank by rank" `Quick
       test_inflate_per_queue;
     test_case "breakdown: results pinned bit for bit" `Quick test_breakdown_pins;
+    prop_rta_warm_equals_cold;
+    prop_csd_screened_equals_reference;
+    test_case "feasibility: CSD pre-check needs d <= p, C > 0 at the lowest FP rank"
+      `Quick test_csd_precheck_precondition;
   ]
