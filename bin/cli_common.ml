@@ -85,6 +85,19 @@ let scenario_of name =
     bad_invocation "unknown scenario %S (expected: %s)" name
       (String.concat ", " Workload.Scenario.known)
 
+(* lint's and analyze's --preset: one scenario, or every shipped one. *)
+let scenarios_of = function
+  | None -> Workload.Scenario.all ()
+  | Some name -> [ scenario_of name ]
+
+(* A multi-scenario text report: one section per scenario. *)
+let section name body = Printf.sprintf "==== %s ====\n%s" name body
+
+(* One SARIF log over several scenarios: each finding's location
+   starts with its scenario's name. *)
+let scoped name diags =
+  List.map (fun d -> { d with Lint.Diag.scope = Some name }) diags
+
 (* A CSD partition must fit the workload it schedules; checked before
    the kernel is built so a bad --sched is a usage error. *)
 let validated_sched spec taskset =
@@ -153,7 +166,6 @@ let category_mask_of_names spec =
 
 (* Every JSON and SARIF document leaves the CLI here, one per line. *)
 let json_line v = Util.Json.to_string v ^ "\n"
-let print_json v = print_string (json_line v)
 
 (* --out of trace and explain: the rendered document goes to the file,
    a one-line note to stdout. *)
@@ -165,7 +177,24 @@ let write_output ~out ~format output =
     Printf.printf "%s output written to %s\n" format path
   | None -> print_string output
 
-(* --format of the subcommands whose one alternative output is SARIF *)
-let sarif_only = function
-  | None | Some "sarif" -> ()
-  | Some f -> bad_invocation "unknown format %S (expected: sarif)" f
+(* The one output switch of every checking subcommand. *)
+let format =
+  Arg.(
+    value
+    & opt (enum [ ("text", `Text); ("json", `Json); ("sarif", `Sarif) ]) `Text
+    & info [ "format" ] ~docv:"FMT"
+        ~doc:
+          "Output format: text (the report), json (one machine-readable \
+           document per line) or sarif (the findings as one SARIF 2.1.0 \
+           log).")
+
+(* Print the rendering [format] chooses, or write it to [out]; [json]
+   gives one document per line. *)
+let emit ?out format ~text ~json ~sarif =
+  let name, output =
+    match format with
+    | `Text -> ("text", text ())
+    | `Json -> ("json", String.concat "" (List.map json_line (json ())))
+    | `Sarif -> ("sarif", json_line (sarif ()))
+  in
+  write_output ~out ~format:name output

@@ -130,17 +130,6 @@ let analyze_cmd =
             "Memory budget the derived footprint must fit (default: the \
              paper's 128 KB device ceiling).")
   in
-  let json =
-    Arg.(value & flag & info [ "json" ] ~doc:"Emit the analysis as JSON.")
-  in
-  let format =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "format" ] ~docv:"FMT"
-          ~doc:"Output format: sarif (SARIF 2.1.0, one log for all \
-                scenarios).")
-  in
   let rta =
     Arg.(
       value & flag
@@ -150,91 +139,35 @@ let analyze_cmd =
              per-job demand and the absint blocking terms (instead of \
              declared WCETs and lint terms).")
   in
-  let run preset_name cost_name budget_bytes json format rta =
-    sarif_only format;
+  let run preset_name cost_name budget_bytes format rta =
     let cost =
       match String.lowercase_ascii cost_name with
       | "m68040" -> Sim.Cost.m68040
       | "zero" -> Sim.Cost.zero
       | s -> bad_invocation "unknown cost model %S (expected: m68040, zero)" s
     in
-    let scenarios =
-      match preset_name with
-      | None -> Workload.Scenario.all ()
-      | Some n -> [ scenario_of n ]
+    let reports =
+      List.map
+        (fun s -> Absint.Report.analyze ~cost ~budget_bytes s)
+        (scenarios_of preset_name)
     in
-    let had_errors = ref false in
-    let sarif_results = ref [] in
-    List.iter
-      (fun (s : Workload.Scenario.t) ->
-        let r = Absint.Report.analyze ~cost ~budget_bytes s in
-        if Absint.Report.errors r > 0 then had_errors := true;
-        if format = Some "sarif" then
-          sarif_results :=
-            !sarif_results
-            @ Lint.Sarif.(in_scenario s.name (of_diags r.diags))
-        else if json then print_json (Absint.Report.to_json r)
-        else begin
-          Printf.printf "==== %s ====\n" s.name;
-          print_string (Absint.Report.render r);
-          if rta then begin
-            let blocking = Absint.Report.blocking_terms r in
-            let demand = Absint.Report.derived_demand r in
-            let rows =
-              Array.mapi
-                (fun i tb ->
-                  let t = tb.Absint.Report.task in
-                  ( t.Model.Task.period,
-                    t.Model.Task.deadline,
-                    match demand.(i) with
-                    | Some d -> d
-                    | None -> t.Model.Task.wcet ))
-                r.tasks
-            in
-            Printf.printf
-              "\nRTA with derived demand and absint blocking terms:\n";
-            Array.iteri
-              (fun i tb ->
-                let t = tb.Absint.Report.task in
-                let higher_unbounded =
-                  Array.exists (fun j -> demand.(j) = None)
-                    (Array.init (i + 1) Fun.id)
-                in
-                if higher_unbounded then
-                  Printf.printf
-                    "  %-8s demand unbounded (untimed wait): no RTA bound\n"
-                    t.Model.Task.name
-                else
-                  match
-                    Analysis.Rta.response_time ~blocking ~tasks:rows i
-                  with
-                  | None ->
-                    Printf.printf "  %-8s demand %8.1fus  RTA: unbounded\n"
-                      t.Model.Task.name
-                      (Model.Time.to_us_f (match demand.(i) with
-                                           | Some d -> d
-                                           | None -> 0))
-                  | Some bound ->
-                    Printf.printf
-                      "  %-8s demand %8.1fus  B %6.1fus  response %8.1fus  \
-                       deadline %8.1fus  %s\n"
-                      t.Model.Task.name
-                      (Model.Time.to_us_f (match demand.(i) with
-                                           | Some d -> d
-                                           | None -> 0))
-                      (Model.Time.to_us_f blocking.(i))
-                      (Model.Time.to_us_f bound)
-                      (Model.Time.to_us_f t.Model.Task.deadline)
-                      (if bound <= t.Model.Task.deadline then "ok"
-                       else "MISSED")
-              )
-              r.tasks
-          end
-        end)
-      scenarios;
-    if format = Some "sarif" then
-      print_json (Lint.Sarif.log [ ("emeralds-absint", !sarif_results) ]);
-    if !had_errors then exit 1
+    emit format
+      ~text:(fun () ->
+        String.concat ""
+          (List.map
+             (fun (r : Absint.Report.t) ->
+               section r.scenario_name
+                 (Absint.Report.render r
+                 ^ if rta then Absint.Report.render_rta r else ""))
+             reports))
+      ~json:(fun () -> List.map Absint.Report.to_json reports)
+      ~sarif:(fun () ->
+        Lint.Sarif.log
+          [ ( "emeralds-absint",
+              List.concat_map
+                (fun (r : Absint.Report.t) -> scoped r.scenario_name r.diags)
+                reports ) ]);
+    if List.exists (fun r -> Absint.Report.errors r > 0) reports then exit 1
   in
   Cmd.v
     (Cmd.info "analyze"
@@ -242,9 +175,7 @@ let analyze_cmd =
          "Abstract interpretation: sound per-task demand intervals, \
           semaphore hold times, interrupt-latency bound, and derived \
           memory footprint with a budget check")
-    Term.(
-      const run $ preset_name $ cost_name $ budget_bytes $ json $ format
-      $ rta)
+    Term.(const run $ preset_name $ cost_name $ budget_bytes $ format $ rta)
 
 (* ------------------------------------------------------------------ *)
 (* simulate *)
@@ -344,17 +275,6 @@ let lint_cmd =
       & info [ "preset" ] ~docv:"NAME"
           ~doc:("Scenario to lint (default: the shipped presets). " ^ scenario_doc))
   in
-  let json =
-    Arg.(value & flag & info [ "json" ] ~doc:"Emit findings as JSON.")
-  in
-  let format =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "format" ] ~docv:"FMT"
-          ~doc:"Output format: sarif (SARIF 2.1.0, one log for all \
-                scenarios).")
-  in
   let blocking =
     Arg.(
       value & flag
@@ -364,47 +284,43 @@ let lint_cmd =
              ceilings, worst-case critical sections, and per-rank \
              blocking terms.")
   in
-  let run preset_name json format blocking =
-    sarif_only format;
-    let scenarios =
-      match preset_name with
-      | None -> Workload.Scenario.all ()
-      | Some n -> [ scenario_of n ]
+  let run preset_name format blocking =
+    let results =
+      List.map
+        (fun (s : Workload.Scenario.t) ->
+          let ctx =
+            Lint.Ctx.make ~irq_signals:s.irq_signals ~irq_writes:s.irq_writes
+              ~taskset:s.taskset ~programs:s.programs ()
+          in
+          (s.name, ctx, Lint.Report.run ctx))
+        (scenarios_of preset_name)
     in
-    let had_errors = ref false in
-    let sarif_results = ref [] in
-    List.iter
-      (fun (s : Workload.Scenario.t) ->
-        let ctx =
-          Lint.Ctx.make ~irq_signals:s.irq_signals ~irq_writes:s.irq_writes
-            ~taskset:s.taskset ~programs:s.programs ()
-        in
-        let diags = Lint.Report.run ctx in
-        if Lint.Diag.errors diags > 0 then had_errors := true;
-        if format = Some "sarif" then
-          sarif_results :=
-            !sarif_results @ Lint.Sarif.(in_scenario s.name (of_diags diags))
-        else if json then
-          print_json
-            (Util.Json.Obj
-               [ ("scenario", String s.name);
-                 ("findings", List (List.map Lint.Diag.to_json diags)) ])
-        else begin
-          Printf.printf "==== %s ====\n" s.name;
-          print_string (Lint.Report.render diags);
-          if blocking then print_string (Lint.Report.render_blocking ctx)
-        end)
-      scenarios;
-    if format = Some "sarif" then
-      print_json (Lint.Sarif.log [ ("emeralds-lint", !sarif_results) ]);
-    if !had_errors then exit 1
+    emit format
+      ~text:(fun () ->
+        String.concat ""
+          (List.map
+             (fun (name, ctx, diags) ->
+               section name
+                 (Lint.Report.render diags
+                 ^ if blocking then Lint.Report.render_blocking ctx else ""))
+             results))
+      ~json:(fun () ->
+        List.map
+          (fun (scenario, _, diags) -> Lint.Report.to_json ~scenario diags)
+          results)
+      ~sarif:(fun () ->
+        Lint.Sarif.log
+          [ ( "emeralds-lint",
+              List.concat_map (fun (name, _, diags) -> scoped name diags) results ) ]);
+    if List.exists (fun (_, _, diags) -> Lint.Diag.errors diags > 0) results
+    then exit 1
   in
   Cmd.v
     (Cmd.info "lint"
        ~doc:
          "Statically verify task programs, sync-object usage, and \
           schedulability inputs")
-    Term.(const run $ preset_name $ json $ format $ blocking)
+    Term.(const run $ preset_name $ format $ blocking)
 
 (* ------------------------------------------------------------------ *)
 (* check (bounded model checker) *)
@@ -476,22 +392,14 @@ let check_cmd =
              window; the checker forks over earliest arrival, latest \
              arrival and silence. Repeatable.")
   in
-  let json =
-    Arg.(value & flag & info [ "json" ] ~doc:"Emit the result as JSON.")
-  in
-  let format =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "format" ] ~docv:"FMT" ~doc:"Output format: sarif.")
-  in
   let rta =
     Arg.(
       value & flag
       & info [ "rta" ]
           ~doc:
             "Cross-check: print observed worst-case responses next to the \
-             RTA bounds fed with the lint-extracted blocking terms.")
+             RTA bounds the campaign's rta-mc oracle checks (Table-1-inflated \
+             WCETs, lint-extracted blocking terms).")
   in
   let search_seed =
     Arg.(
@@ -504,8 +412,7 @@ let check_cmd =
              path and the reported counterexample are not.")
   in
   let run preset_name sched horizon_ms max_states max_depth props_arg no_por
-      read_span_us sporadic json format rta search_seed =
-    sarif_only format;
+      read_span_us sporadic format rta search_seed =
     let scenario = scenario_of preset_name in
     let sched =
       match String.lowercase_ascii sched with
@@ -556,106 +463,17 @@ let check_cmd =
     let r =
       Mc.Explorer.check ~por:(not no_por) ?seed:search_seed ~props ~bounds m
     in
-    let ok = r.verdict = `Ok in
-    let hit_bound =
-      match r.truncated_by with
-      | Some `States -> Some ("max-states", bounds.max_states)
-      | Some `Depth -> Some ("max-depth", bounds.max_depth)
-      | None -> None
+    let rta =
+      if rta then Some (Fault.Claims.rta_bound (Fault.Claims.of_scenario scenario))
+      else None
     in
-    if format = Some "sarif" then begin
-      let results =
-        match r.verdict with
-        | `Ok -> []
-        | `Violation (cex : Mc.Counterexample.t) ->
-          [
-            {
-              Lint.Sarif.rule_id = "mc-" ^ cex.prop;
-              level = Lint.Sarif.Error;
-              message =
-                Printf.sprintf "%s (at %.3fms, %d choices deep)" cex.message
-                  (Model.Time.to_ms_f cex.at)
-                  (List.length cex.choices);
-              logical = Some scenario.name;
-            };
-          ]
-      in
-      print_json (Lint.Sarif.log [ ("emeralds-mc", results) ])
-    end
-    else if json then begin
-      let open Util.Json in
-      let verdict =
-        match r.verdict with
-        | `Ok -> [ ("verdict", String "ok") ]
-        | `Violation cex ->
-          [ ("verdict", String "violation"); ("prop", String cex.prop);
-            ("message", String cex.message); ("at_ns", Int cex.at);
-            ("choices", Int (List.length cex.choices)) ]
-      in
-      let responses =
-        Array.to_list m.tasks
-        |> List.map (fun (t : Mc.Machine.mtask) -> (t.task_name, Int r.max_response.(t.idx)))
-      in
-      print_json
-        (Obj
-           ((("scenario", String scenario.name) :: verdict)
-           @ [ ("expansions", Int r.expansions); ("distinct", Int r.distinct);
-               ("revisits", Int r.revisits); ("por_skipped", Int r.por_skipped);
-               ("truncated", Bool r.truncated);
-               ("truncated_by",
-                 match hit_bound with Some (b, _) -> String b | None -> Null);
-               ("jobs", Int r.jobs);
-               ("max_response_ns", Obj responses) ]))
-    end
-    else begin
-      Printf.printf
-        "%s: %d tasks, horizon %.1fms, properties: %s%s\n"
-        scenario.name (Mc.Machine.n_tasks m)
-        (Model.Time.to_ms_f bounds.horizon)
-        (String.concat ", " (List.map (fun (p : Mc.Props.t) -> p.name) props))
-        (if no_por then " (POR off)" else "");
-      Printf.printf
-        "explored %d segments, %d distinct decision states, %d revisits \
-         pruned, %d tie choices merged, %d jobs%s\n"
-        r.expansions r.distinct r.revisits r.por_skipped r.jobs
-        (match hit_bound with
-        | Some (b, n) -> Printf.sprintf " [TRUNCATED: %s %d]" b n
-        | None -> "");
-      (match r.verdict with
-      | `Ok ->
-        Printf.printf "no violation within bounds%s\n"
-          (if r.truncated then " (exploration incomplete)" else "")
-      | `Violation cex -> print_string (Mc.Counterexample.render m ~props cex));
-      if rta then begin
-        let ctx =
-          Lint.Ctx.make ~irq_signals:scenario.irq_signals
-            ~irq_writes:scenario.irq_writes ~taskset:scenario.taskset
-            ~programs:scenario.programs ()
-        in
-        let blocking = Lint.Blocking_terms.blocking_terms ctx in
-        let rows =
-          Array.map
-            (fun (t : Model.Task.t) -> (t.period, t.deadline, t.wcet))
-            (Model.Taskset.tasks scenario.taskset)
-        in
-        Printf.printf "\nRTA cross-check (blocking terms from lint):\n";
-        Array.iteri
-          (fun i (t : Mc.Machine.mtask) ->
-            match Analysis.Rta.response_time ~blocking ~tasks:rows i with
-            | None ->
-              Printf.printf "  %-8s observed %8.3fms  RTA: unbounded\n"
-                t.task_name
-                (Model.Time.to_ms_f r.max_response.(i))
-            | Some bound ->
-              Printf.printf "  %-8s observed %8.3fms  RTA bound %8.3fms  %s\n"
-                t.task_name
-                (Model.Time.to_ms_f r.max_response.(i))
-                (Model.Time.to_ms_f bound)
-                (if r.max_response.(i) <= bound then "ok" else "EXCEEDED"))
-          m.tasks
-      end
-    end;
-    if not ok then exit 1
+    emit format
+      ~text:(fun () ->
+        Mc.Explorer.render ?rta ~props ~por:(not no_por) ~bounds m r)
+      ~json:(fun () -> [ Mc.Explorer.to_json m r ])
+      ~sarif:(fun () ->
+        Lint.Sarif.log [ ("emeralds-mc", Mc.Explorer.findings m r) ]);
+    if r.verdict <> `Ok then exit 1
   in
   Cmd.v
     (Cmd.info "check"
@@ -665,7 +483,7 @@ let check_cmd =
           reads, deadline safety — with replayable counterexamples")
     Term.(
       const run $ preset_name $ sched $ horizon_ms $ max_states $ max_depth
-      $ props_arg $ no_por $ read_span_us $ sporadic $ json $ format $ rta
+      $ props_arg $ no_por $ read_span_us $ sporadic $ format $ rta
       $ search_seed)
 
 (* ------------------------------------------------------------------ *)
@@ -742,15 +560,6 @@ let inject_cmd =
       value & opt int 200
       & info [ "horizon-ms" ] ~doc:"Simulation horizon in milliseconds.")
   in
-  let json =
-    Arg.(value & flag & info [ "json" ] ~doc:"Emit the report as JSON.")
-  in
-  let format =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "format" ] ~docv:"FMT" ~doc:"Output format: sarif.")
-  in
   let flightrec_path =
     Arg.(
       value
@@ -801,8 +610,7 @@ let inject_cmd =
     | _ -> []
   in
   let run preset_name plan_arg policy miss_policy shed_one_in mem_policy sched
-      horizon_ms seed json format flightrec_path ring_bytes =
-    sarif_only format;
+      horizon_ms seed format flightrec_path ring_bytes =
     let scenario = scenario_of preset_name in
     let sched = validated_sched sched scenario.taskset in
     let plan =
@@ -895,11 +703,11 @@ let inject_cmd =
       }
     in
     let report = simulating scenario (fun () -> Fault.Report.run cfg) in
-    if format = Some "sarif" then
-      print_json
-        (Lint.Sarif.log [ ("emeralds-inject", Fault.Report.to_sarif report) ])
-    else if json then print_json (Fault.Report.to_json report)
-    else print_string (Fault.Report.render report);
+    emit format
+      ~text:(fun () -> Fault.Report.render report)
+      ~json:(fun () -> [ Fault.Report.to_json report ])
+      ~sarif:(fun () ->
+        Lint.Sarif.log [ ("emeralds-inject", Fault.Report.findings report) ]);
     (match flightrec_path with
     | None -> ()
     | Some path ->
@@ -944,7 +752,7 @@ let inject_cmd =
           shedding, and which static predictions the faults falsified")
     Term.(
       const run $ preset_name $ plan_arg $ policy $ miss_policy $ shed_one_in
-      $ mem_policy $ sched $ horizon_ms $ seed $ json $ format
+      $ mem_policy $ sched $ horizon_ms $ seed $ format
       $ flightrec_path $ ring_bytes)
 
 (* ------------------------------------------------------------------ *)
@@ -996,7 +804,9 @@ let trace_cmd =
   let format =
     Arg.(
       value
-      & opt string "perfetto"
+      & opt
+          (enum (List.map (fun f -> (f, f)) [ "perfetto"; "csv"; "metrics"; "json" ]))
+          "perfetto"
       & info [ "format" ] ~docv:"FMT"
           ~doc:
             "Output: perfetto (Chrome/Perfetto trace-event JSON of the \
@@ -1012,10 +822,6 @@ let trace_cmd =
           ~doc:"Write the output to a file instead of stdout.")
   in
   let run preset_name sched horizon_ms seed categories ring_bytes format out =
-    (match format with
-    | "perfetto" | "csv" | "metrics" | "json" -> ()
-    | f ->
-      bad_invocation "unknown format %S (expected: perfetto, csv, metrics, json)" f);
     let scenario = scenario_of preset_name in
     let sched = validated_sched sched scenario.taskset in
     let mask = category_mask_of_names categories in
@@ -1125,16 +931,6 @@ let explain_cmd =
       & opt (some int) None
       & info [ "task" ] ~docv:"TID" ~doc:"Explain only this task id.")
   in
-  let format =
-    Arg.(
-      value
-      & opt string "text"
-      & info [ "format" ] ~docv:"FMT"
-          ~doc:
-            "Output: text (ranked blame tables), json (machine digest) or \
-             sarif (misses, conservation and domination violations as \
-             results).")
-  in
   let out =
     Arg.(
       value
@@ -1143,9 +939,6 @@ let explain_cmd =
           ~doc:"Write the output to a file instead of stdout.")
   in
   let run preset_name sched horizon_ms seed task_filter format out =
-    (match format with
-    | "text" | "json" | "sarif" -> ()
-    | f -> bad_invocation "unknown format %S (expected: text, json, sarif)" f);
     let scenario = scenario_of preset_name in
     let sched = validated_sched sched scenario.taskset in
     (match task_filter with
@@ -1161,15 +954,11 @@ let explain_cmd =
           Fault.Explain.run ?task:task_filter ~spec:sched
             ~horizon:(Model.Time.ms horizon_ms) ~seed scenario)
     in
-    let output =
-      match format with
-      | "text" -> Fault.Explain.render report
-      | "json" -> json_line (Fault.Explain.to_json report)
-      | _ ->
-        json_line
-          (Lint.Sarif.log [ ("emeralds-explain", Fault.Explain.to_sarif report) ])
-    in
-    write_output ~out ~format output;
+    emit ?out format
+      ~text:(fun () -> Fault.Explain.render report)
+      ~json:(fun () -> [ Fault.Explain.to_json report ])
+      ~sarif:(fun () ->
+        Lint.Sarif.log [ ("emeralds-explain", Fault.Explain.findings report) ]);
     if Fault.Explain.violations report then exit 1
   in
   Cmd.v
@@ -1288,18 +1077,6 @@ let campaign_cmd =
              the campaign detects unsoundness. Findings are expected; the \
              exit code is still 1.")
   in
-  let json =
-    Arg.(value & flag & info [ "json" ] ~doc:"Emit the summary as JSON.")
-  in
-  let format =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "format" ] ~docv:"FMT"
-          ~doc:
-            "Output format: sarif (SARIF 2.1.0, one run per tool driver; \
-             findings are routed to the layer they indict).")
-  in
   let metrics =
     Arg.(
       value & flag
@@ -1309,9 +1086,7 @@ let campaign_cmd =
              and append the aggregate digest (response/blocking/latency \
              histograms over the whole campaign) to the text report.")
   in
-  let run count seed tasks target_u family oracles shrink ablate json format
-      metrics =
-    sarif_only format;
+  let run count seed tasks target_u family oracles shrink ablate format metrics =
     if count <= 0 then bad_invocation "--count must be positive";
     let family =
       Option.map
@@ -1368,9 +1143,10 @@ let campaign_cmd =
           progress;
         }
     in
-    if format = Some "sarif" then print_json (Campaign.Report.to_sarif s)
-    else if json then print_json (Campaign.Report.to_json s)
-    else print_string (Campaign.Report.render_text s);
+    emit format
+      ~text:(fun () -> Campaign.Report.render_text s)
+      ~json:(fun () -> [ Campaign.Report.to_json s ])
+      ~sarif:(fun () -> Campaign.Report.to_sarif s);
     if Campaign.Driver.falsifications s > 0 then exit 1
   in
   Cmd.v
@@ -1382,7 +1158,7 @@ let campaign_cmd =
           reporting falsifications as SARIF")
     Term.(
       const run $ count $ seed $ tasks $ target_u $ family $ oracles $ shrink
-      $ ablate $ json $ format $ metrics)
+      $ ablate $ format $ metrics)
 
 (* ------------------------------------------------------------------ *)
 (* fabric (multikernel fault-tolerance demos) *)
@@ -1413,18 +1189,7 @@ let fabric_cmd =
       value & opt int 400
       & info [ "horizon-ms" ] ~docv:"MS" ~doc:"Simulated horizon, milliseconds.")
   in
-  let json =
-    Arg.(value & flag & info [ "json" ] ~doc:"Emit the scorecard as JSON.")
-  in
-  let format =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "format" ] ~docv:"FMT"
-          ~doc:"Output format: sarif (SARIF 2.1.0).")
-  in
-  let run preset_name plan_spec horizon_ms seed json format =
-    sarif_only format;
+  let run preset_name plan_spec horizon_ms seed format =
     if horizon_ms <= 0 then bad_invocation "--horizon-ms must be positive";
     let ms = Model.Time.ms in
     let task ~id ~period_ms ~wcet_ms =
@@ -1484,11 +1249,11 @@ let fabric_cmd =
     let horizon = ms horizon_ms in
     Fabric.Cluster.run cluster ~until:horizon;
     let score = Fabric.Cluster.score cluster ~horizon in
-    if format = Some "sarif" then
-      print_json
-        (Lint.Sarif.log [ ("emeralds-fabric", Fault.Report.net_to_sarif score) ])
-    else if json then print_json (Fault.Report.net_to_json score)
-    else print_string (Fault.Report.render_net score);
+    emit format
+      ~text:(fun () -> Fault.Report.render_net score)
+      ~json:(fun () -> [ Fault.Report.net_to_json score ])
+      ~sarif:(fun () ->
+        Lint.Sarif.log [ ("emeralds-fabric", Fault.Report.net_findings score) ]);
     let fault_activity =
       Fabric.Cluster.crashes cluster <> []
       || Fabric.Cluster.shed cluster <> []
@@ -1507,18 +1272,25 @@ let fabric_cmd =
           re-admission, and an end-to-end scorecard checking observed \
           failover latency against the static migration-cost bound")
     Term.(
-      const run $ preset_name $ plan_spec $ horizon_ms $ seed $ json $ format)
+      const run $ preset_name $ plan_spec $ horizon_ms $ seed $ format)
 
 let () =
   let info =
     Cmd.info "emeralds_cli" ~version:"1.0.0"
       ~doc:"EMERALDS small-memory real-time microkernel reproduction"
   in
+  let cmd =
+    Cmd.group info
+      [
+        experiment_cmd; schedulability_cmd; analyze_cmd; simulate_cmd;
+        sensitivity_cmd; lint_cmd; check_cmd; inject_cmd; trace_cmd;
+        explain_cmd; footprint_cmd; campaign_cmd; fabric_cmd;
+      ]
+  in
+  (* A command line cmdliner cannot parse is a bad invocation like any
+     other: exit 2, not cmdliner's own 124. *)
   exit
-    (Cmd.eval
-       (Cmd.group info
-          [
-            experiment_cmd; schedulability_cmd; analyze_cmd; simulate_cmd;
-            sensitivity_cmd; lint_cmd; check_cmd; inject_cmd; trace_cmd;
-            explain_cmd; footprint_cmd; campaign_cmd; fabric_cmd;
-          ]))
+    (match Cmd.eval_value cmd with
+    | Ok _ -> 0
+    | Error (`Parse | `Term) -> 2
+    | Error `Exn -> Cmd.Exit.internal_error)

@@ -460,3 +460,37 @@ let to_json t =
             ("ram_bytes", Int t.ram_bytes); ("total_bytes", Int t.total_bytes);
             ("budget_bytes", Int t.budget_bytes) ] );
       ("diags", List (List.map Lint.Diag.to_json t.diags)) ]
+
+let render_rta r =
+  let buf = Buffer.create 512 in
+  let blocking = blocking_terms r in
+  let demand = derived_demand r in
+  let demand_of i (t : Model.Task.t) = Option.value demand.(i) ~default:t.wcet in
+  let rows =
+    Array.mapi
+      (fun i tb -> (tb.task.Model.Task.period, tb.task.deadline, demand_of i tb.task))
+      r.tasks
+  in
+  let us = Model.Time.to_us_f in
+  Buffer.add_string buf "\nRTA with derived demand and absint blocking terms:\n";
+  Array.iteri
+    (fun i tb ->
+      let t = tb.task in
+      if Array.exists Option.is_none (Array.sub demand 0 (i + 1)) then
+        Printf.bprintf buf
+          "  %-8s demand unbounded (untimed wait): no RTA bound\n" t.name
+      else
+        match Analysis.Rta.response_time ~blocking ~tasks:rows i with
+        | None ->
+          Printf.bprintf buf "  %-8s demand %8.1fus  RTA: unbounded\n" t.name
+            (us (demand_of i t))
+        | Some bound ->
+          Printf.bprintf buf
+            "  %-8s demand %8.1fus  B %6.1fus  response %8.1fus  deadline \
+             %8.1fus  %s\n"
+            t.name
+            (us (demand_of i t))
+            (us blocking.(i)) (us bound) (us t.deadline)
+            (if bound <= t.deadline then "ok" else "MISSED"))
+    r.tasks;
+  Buffer.contents buf

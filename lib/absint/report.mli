@@ -98,4 +98,10 @@ val render : t -> string
 (** Human-readable report: per-task bounds, per-semaphore holds,
     latency, derived footprint with budget verdict, diagnostics. *)
 
+val render_rta : t -> string
+(** Response-time analysis fed with {!derived_demand} and
+    {!blocking_terms} instead of declared WCETs and lint terms: per
+    task its demand, blocking term, response bound and verdict, or why
+    no bound exists (an untimed wait at or above its rank). *)
+
 val to_json : t -> Util.Json.t

@@ -41,16 +41,5 @@ val blocking_terms : n:int -> critical_section list -> int array
 
     The [critical_section] list can be written by hand or extracted
     statically from thread programs by the verifier
-    ([Lint.Blocking_terms.critical_sections]). *)
-
-val response_time :
-  ?limit:int ->
-  tasks:(int * int * int) array ->
-  blocking:int array ->
-  int ->
-  int option
-(** Response time of task [i] including its blocking term:
-    R = C + B + interference.  Same conventions as {!Rta}. *)
-
-val feasible :
-  ?limit:int -> (int * int * int) array -> blocking:int array -> bool
+    ([Lint.Blocking_terms.critical_sections]).  {!Rta.response_time}
+    and {!Rta.feasible} fold the terms in through [~blocking]. *)

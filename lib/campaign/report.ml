@@ -101,24 +101,17 @@ let tools =
   ]
 
 let to_sarif (s : Driver.summary) =
-  let result_of (r : Driver.report_finding) =
+  let finding_of (r : Driver.report_finding) =
     let f = r.finding in
-    {
-      Lint.Sarif.rule_id = "campaign/" ^ Oracle.name f.oracle;
-      level = Lint.Sarif.Error;
-      message =
-        f.message
-        ^ (match r.shrunk with
-          | Some sh ->
-            Printf.sprintf " [shrunk to %d tasks, %d segments]"
-              sh.sh_tasks_after sh.sh_segs_after
-          | None -> "");
-      logical =
-        Some
-          (match f.task with
-          | Some t -> Printf.sprintf "%s, task %d" f.scenario t
-          | None -> f.scenario);
-    }
+    Lint.Diag.make Lint.Diag.Error ~check:("campaign/" ^ Oracle.name f.oracle)
+      ~scope:f.scenario ?task:f.task
+      (f.message
+      ^
+      match r.shrunk with
+      | Some sh ->
+        Printf.sprintf " [shrunk to %d tasks, %d segments]" sh.sh_tasks_after
+          sh.sh_segs_after
+      | None -> "")
   in
   Lint.Sarif.log
     (List.map
@@ -126,6 +119,7 @@ let to_sarif (s : Driver.summary) =
          ( tool,
            List.filter_map
              (fun (r : Driver.report_finding) ->
-               if tool_of r.finding.oracle = tool then Some (result_of r) else None)
+               if tool_of r.finding.oracle = tool then Some (finding_of r)
+               else None)
              s.findings ))
        tools)

@@ -166,21 +166,16 @@ let to_json t =
       ("residual_violations", Int t.residual_violations);
       ("tasks", List (List.map task t.rows)) ]
 
-let to_sarif t =
-  let result rule_id message tid =
-    {
-      Lint.Sarif.rule_id;
-      level = Lint.Sarif.Error;
-      message;
-      logical = Some (Printf.sprintf "%s, task %d" t.scenario tid);
-    }
+let findings t =
+  let finding check message tid =
+    Lint.Diag.make Lint.Diag.Error ~check ~scope:t.scenario ~task:tid message
   in
   List.filter_map
     (fun r ->
       let s = r.summary in
       if s.s_residual_violations > 0 then
         Some
-          (result "explain/conservation"
+          (finding "explain/conservation"
              (Printf.sprintf
                 "blame components of %d job(s) missed the observed response \
                  by up to %dns"
@@ -190,7 +185,7 @@ let to_sarif t =
     t.rows
   @ List.map
       (fun (tid, cause, amount) ->
-        result "explain/miss"
+        finding "explain/miss"
           (Printf.sprintf "deadline miss: dominant blame %s (%dns)"
              (Obs.Blame.cause_label cause)
              amount)

@@ -47,6 +47,6 @@ val render : t -> string
 
 val to_json : t -> Util.Json.t
 
-val to_sarif : t -> Lint.Sarif.result list
+val findings : t -> Lint.Diag.t list
 (** One error per task with conservation violations and one per
     missing task, naming its dominant blamer. *)

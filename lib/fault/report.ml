@@ -316,123 +316,78 @@ let net_to_json n =
         ("failover_latency_ns", int_opt n.n_failover_latency);
         ("failover_bound_ns", int_opt n.n_failover_bound); ("ok", Bool (net_ok n)) ])
 
-let net_to_sarif n =
-  let fabric = Some "fabric" in
-  let bound_results =
-    if net_within_bound n then []
-    else
-      match (n.n_failover_latency, n.n_failover_bound) with
-      | Some obs, Some bound ->
-        [
-          {
-            Lint.Sarif.rule_id = "failover-bound-exceeded";
-            level = Lint.Sarif.Error;
-            message =
-              Printf.sprintf
-                "observed failover latency %s exceeds the static \
-                 migration-cost bound %s"
-                (tstr obs) (tstr bound);
-            logical = fabric;
-          };
-        ]
-      | _ -> []
+let net_findings n =
+  let finding sev ~check msg = Lint.Diag.make sev ~check ~scope:"fabric" msg in
+  let bound =
+    match (n.n_failover_latency, n.n_failover_bound) with
+    | Some obs, Some bound when not (net_within_bound n) ->
+      [
+        finding Lint.Diag.Error ~check:"failover-bound-exceeded"
+          (Printf.sprintf
+             "observed failover latency %s exceeds the static \
+              migration-cost bound %s"
+             (tstr obs) (tstr bound));
+      ]
+    | _ -> []
   in
-  let miss_results =
+  let misses =
     if n.n_e2e_misses = 0 then []
     else
       [
-        {
-          Lint.Sarif.rule_id = "e2e-miss-after-failover";
-          level = Lint.Sarif.Error;
-          message =
-            Printf.sprintf
-              "%d end-to-end deadline miss(es) on surviving shards after \
-               failover completed"
-              n.n_e2e_misses;
-          logical = fabric;
-        };
+        finding Lint.Diag.Error ~check:"e2e-miss-after-failover"
+          (Printf.sprintf
+             "%d end-to-end deadline miss(es) on surviving shards after \
+              failover completed"
+             n.n_e2e_misses);
       ]
   in
-  let wire_results =
+  let wire =
     if n.n_timeouts = 0 && n.n_shed = 0 then []
     else
       [
-        {
-          Lint.Sarif.rule_id = "fabric-degraded";
-          level = Lint.Sarif.Warning;
-          message =
-            Printf.sprintf
-              "%d delivery timeout(s), %d task(s) shed during failover"
-              n.n_timeouts n.n_shed;
-          logical = fabric;
-        };
+        finding Lint.Diag.Warning ~check:"fabric-degraded"
+          (Printf.sprintf
+             "%d delivery timeout(s), %d task(s) shed during failover"
+             n.n_timeouts n.n_shed);
       ]
   in
-  let clean =
-    if bound_results = [] && miss_results = [] && wire_results = [] then
-      [
-        {
-          Lint.Sarif.rule_id = "fabric-clean";
-          level = Lint.Sarif.Note;
-          message =
-            Printf.sprintf
-              "fabric run clean: %d node(s), %d frame(s), amplification %.2fx"
-              n.n_nodes n.n_frames n.n_retry_amplification;
-          logical = fabric;
-        };
-      ]
-    else []
-  in
-  bound_results @ miss_results @ wire_results @ clean
+  match bound @ misses @ wire with
+  | [] ->
+    [
+      finding Lint.Diag.Info ~check:"fabric-clean"
+        (Printf.sprintf
+           "fabric run clean: %d node(s), %d frame(s), amplification %.2fx"
+           n.n_nodes n.n_frames n.n_retry_amplification);
+    ]
+  | found -> found
 
-let to_sarif t =
+let findings t =
+  let scope = "scenario " ^ t.r_scenario in
   List.concat_map
     (fun c ->
       let summary =
         if c.c_misses + c.c_overruns + c.c_kills + c.c_sheds > 0 then
-          [
-            {
-              Lint.Sarif.rule_id = "fault-detected";
-              level = Lint.Sarif.Warning;
-              message =
-                Printf.sprintf
-                  "plan %s on %s: %d deadline miss(es), %d budget overrun(s), \
-                   %d kill(s), %d shed(s)%s"
-                  c.c_label t.r_scenario c.c_misses c.c_overruns c.c_kills
-                  c.c_sheds
-                  (match c.c_detection_latency with
-                  | Some l -> Printf.sprintf "; detection latency %s" (tstr l)
-                  | None -> "");
-              logical = Some (Printf.sprintf "scenario %s" t.r_scenario);
-            };
-          ]
+          Lint.Diag.make Lint.Diag.Warning ~check:"fault-detected" ~scope
+            (Printf.sprintf
+               "plan %s on %s: %d deadline miss(es), %d budget overrun(s), \
+                %d kill(s), %d shed(s)%s"
+               c.c_label t.r_scenario c.c_misses c.c_overruns c.c_kills
+               c.c_sheds
+               (match c.c_detection_latency with
+               | Some l -> Printf.sprintf "; detection latency %s" (tstr l)
+               | None -> ""))
         else
-          [
-            {
-              Lint.Sarif.rule_id = "fault-clean";
-              level = Lint.Sarif.Note;
-              message =
-                Printf.sprintf "plan %s on %s: no violation%s" c.c_label
-                  t.r_scenario
-                  (if c.c_matches_baseline then
-                     " (trace identical to baseline)"
-                   else "");
-              logical = Some (Printf.sprintf "scenario %s" t.r_scenario);
-            };
-          ]
+          Lint.Diag.make Lint.Diag.Info ~check:"fault-clean" ~scope
+            (Printf.sprintf "plan %s on %s: no violation%s" c.c_label
+               t.r_scenario
+               (if c.c_matches_baseline then " (trace identical to baseline)"
+                else ""))
       in
-      let falsified =
-        List.map
-          (fun p ->
-            {
-              Lint.Sarif.rule_id = "prediction-falsified";
-              level = Lint.Sarif.Error;
-              message =
-                Printf.sprintf "plan %s: %s prediction falsified: %s -- %s"
-                  c.c_label p.p_source p.p_claim p.p_observed;
-              logical = Some (Printf.sprintf "task %d" p.p_task);
-            })
-          c.c_falsified
-      in
-      summary @ falsified)
+      summary
+      :: List.map
+           (fun p ->
+             Lint.Diag.make Lint.Diag.Error ~check:"prediction-falsified" ~task:p.p_task
+               (Printf.sprintf "plan %s: %s prediction falsified: %s -- %s"
+                  c.c_label p.p_source p.p_claim p.p_observed))
+           c.c_falsified)
     t.r_cells

@@ -67,9 +67,9 @@ val render : t -> string
 
 val to_json : t -> Util.Json.t
 
-val to_sarif : t -> Lint.Sarif.result list
-(** One result per detected-fault cell (warning), per falsified
-    prediction (error), and per clean cell (note). *)
+val findings : t -> Lint.Diag.t list
+(** One finding per detected-fault cell (warning), per falsified
+    prediction (error), and per clean cell (info). *)
 
 (** {1 Fabric scoring}
 
@@ -118,6 +118,6 @@ val render_net : net_score -> string
 
 val net_to_json : net_score -> Util.Json.t
 
-val net_to_sarif : net_score -> Lint.Sarif.result list
+val net_findings : net_score -> Lint.Diag.t list
 (** Error when the bound is exceeded or post-failover misses remain;
-    warning per timeout/shed; note when clean. *)
+    warning per timeout/shed; info when clean. *)

@@ -3,13 +3,14 @@ type severity = Error | Warning | Info
 type t = {
   severity : severity;
   check : string;
+  scope : string option;
   task : int option;
   pc : int option;
   message : string;
 }
 
-let make severity ~check ?task ?pc message =
-  { severity; check; task; pc; message }
+let make severity ~check ?scope ?task ?pc message =
+  { severity; check; scope; task; pc; message }
 
 let severity_label = function
   | Error -> "error"
@@ -37,6 +38,18 @@ let count sev diags =
   List.length (List.filter (fun d -> d.severity = sev) diags)
 
 let errors diags = count Error diags
+
+let location d =
+  let within =
+    match (d.task, d.pc) with
+    | None, _ -> None
+    | Some t, None -> Some (Printf.sprintf "task %d" t)
+    | Some t, Some pc -> Some (Printf.sprintf "task %d, pc %d" t pc)
+  in
+  match (d.scope, within) with
+  | None, l -> l
+  | Some s, None -> Some s
+  | Some s, Some l -> Some (s ^ ", " ^ l)
 
 let to_json d =
   Util.Json.(

@@ -63,3 +63,9 @@ let render_blocking ctx =
     terms;
   Buffer.add_char buf '\n';
   Buffer.contents buf
+
+let to_json ~scenario diags =
+  Util.Json.(
+    Obj
+      [ ("scenario", String scenario);
+        ("findings", List (List.map Diag.to_json diags)) ])

@@ -18,3 +18,6 @@ val render_blocking : Ctx.t -> string
 (** Per-semaphore table of priority ceilings and worst-case critical
     sections, plus the per-rank blocking terms, from
     {!Blocking_terms}. *)
+
+val to_json : scenario:string -> Diag.t list -> Util.Json.t
+(** One scenario's findings as a JSON object. *)

@@ -1,66 +1,26 @@
-type level = Error | Warning | Note
-
-type result = {
-  rule_id : string;
-  level : level;
-  message : string;
-  logical : string option;
-}
-
-let level_label = function
-  | Error -> "error"
-  | Warning -> "warning"
-  | Note -> "note"
-
-let of_diags diags =
-  List.map
-    (fun (d : Diag.t) ->
-      let logical =
-        match (d.task, d.pc) with
-        | None, _ -> None
-        | Some t, None -> Some (Printf.sprintf "task %d" t)
-        | Some t, Some pc -> Some (Printf.sprintf "task %d, pc %d" t pc)
-      in
-      {
-        rule_id = d.check;
-        level =
-          (match d.severity with
-          | Diag.Error -> Error
-          | Diag.Warning -> Warning
-          | Diag.Info -> Note);
-        message = d.message;
-        logical;
-      })
-    diags
-
-let in_scenario name results =
-  List.map
-    (fun r ->
-      {
-        r with
-        logical =
-          Some (match r.logical with None -> name | Some l -> name ^ ", " ^ l);
-      })
-    results
-
 open Util.Json
 
-let result_json r =
+let level_label = function
+  | Diag.Error -> "error"
+  | Diag.Warning -> "warning"
+  | Diag.Info -> "note"
+
+let result_json (d : Diag.t) =
   let locations =
-    match r.logical with
+    match Diag.location d with
     | None -> []
     | Some l ->
       let name = Obj [ ("fullyQualifiedName", String l) ] in
       [ ("locations", List [ Obj [ ("logicalLocations", List [ name ]) ] ]) ]
   in
   Obj
-    ([ ("ruleId", String r.rule_id); ("level", String (level_label r.level));
-       ("message", Obj [ ("text", String r.message) ]) ]
+    ([ ("ruleId", String d.check); ("level", String (level_label d.severity));
+       ("message", Obj [ ("text", String d.message) ]) ]
     @ locations)
 
-let run_json (tool, results) =
+let run_json (tool, diags) =
   let rules =
-    List.sort_uniq String.compare (List.map (fun x -> x.rule_id) results)
+    List.sort_uniq String.compare (List.map (fun (d : Diag.t) -> d.check) diags)
     |> List.map (fun id -> Obj [ ("id", String id) ])
   in
   let driver =
@@ -68,7 +28,7 @@ let run_json (tool, results) =
   in
   Obj
     [ ("tool", Obj [ ("driver", driver) ]);
-      ("results", List (List.map result_json results)) ]
+      ("results", List (List.map result_json diags)) ]
 
 let log runs =
   Obj

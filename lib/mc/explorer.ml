@@ -114,3 +114,84 @@ let check ?(por = true) ?seed ~props ~bounds m =
     jobs = !jobs;
     max_response;
   }
+
+(* -- reporting ------------------------------------------------------ *)
+
+let bound_name = function `States -> "max-states" | `Depth -> "max-depth"
+
+let render ?rta ~props ~por ~bounds (m : Machine.t) r =
+  let buf = Buffer.create 1024 in
+  let pr fmt = Printf.bprintf buf fmt in
+  pr "%s: %d tasks, horizon %.1fms, properties: %s%s\n" m.model_name
+    (Machine.n_tasks m)
+    (Model.Time.to_ms_f bounds.horizon)
+    (String.concat ", " (List.map (fun (p : Props.t) -> p.name) props))
+    (if por then "" else " (POR off)");
+  pr
+    "explored %d segments, %d distinct decision states, %d revisits pruned, \
+     %d tie choices merged, %d jobs%s\n"
+    r.expansions r.distinct r.revisits r.por_skipped r.jobs
+    (match r.truncated_by with
+    | Some b ->
+      Printf.sprintf " [TRUNCATED: %s %d]" (bound_name b)
+        (match b with `States -> bounds.max_states | `Depth -> bounds.max_depth)
+    | None -> "");
+  (match r.verdict with
+  | `Ok ->
+    pr "no violation within bounds%s\n"
+      (if r.truncated then " (exploration incomplete)" else "")
+  | `Violation cex -> Buffer.add_string buf (Counterexample.render m ~props cex));
+  (match rta with
+  | None -> ()
+  | Some bound_of ->
+    pr "\nRTA cross-check (the rta-mc claims: Table-1-inflated WCETs, lint \
+        blocking terms):\n";
+    Array.iter
+      (fun (t : Machine.mtask) ->
+        let observed = r.max_response.(t.idx) in
+        match bound_of t.idx with
+        | None ->
+          pr "  %-8s observed %8.3fms  no RTA claim\n" t.task_name
+            (Model.Time.to_ms_f observed)
+        | Some bound ->
+          pr "  %-8s observed %8.3fms  RTA bound %8.3fms  %s\n" t.task_name
+            (Model.Time.to_ms_f observed)
+            (Model.Time.to_ms_f bound)
+            (if observed <= bound then "ok" else "EXCEEDED"))
+      m.tasks);
+  Buffer.contents buf
+
+let to_json (m : Machine.t) r =
+  let open Util.Json in
+  let verdict =
+    match r.verdict with
+    | `Ok -> [ ("verdict", String "ok") ]
+    | `Violation (cex : Counterexample.t) ->
+      [ ("verdict", String "violation"); ("prop", String cex.prop);
+        ("message", String cex.message); ("at_ns", Int cex.at);
+        ("choices", Int (List.length cex.choices)) ]
+  in
+  let responses =
+    Array.to_list m.tasks
+    |> List.map (fun (t : Machine.mtask) -> (t.task_name, Int r.max_response.(t.idx)))
+  in
+  Obj
+    ((("scenario", String m.model_name) :: verdict)
+    @ [ ("expansions", Int r.expansions); ("distinct", Int r.distinct);
+        ("revisits", Int r.revisits); ("por_skipped", Int r.por_skipped);
+        ("truncated", Bool r.truncated);
+        ( "truncated_by",
+          match r.truncated_by with Some b -> String (bound_name b) | None -> Null );
+        ("jobs", Int r.jobs); ("max_response_ns", Obj responses) ])
+
+let findings (m : Machine.t) r =
+  match r.verdict with
+  | `Ok -> []
+  | `Violation (cex : Counterexample.t) ->
+    [
+      Lint.Diag.make Lint.Diag.Error ~check:("mc-" ^ cex.prop)
+        ~scope:m.model_name
+        (Printf.sprintf "%s (at %.3fms, %d choices deep)" cex.message
+           (Model.Time.to_ms_f cex.at)
+           (List.length cex.choices));
+    ]

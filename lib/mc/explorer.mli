@@ -63,3 +63,28 @@ val check :
     the search path, hence which of several violating traces is
     reported and how many expansions a violating run needs before
     finding it. *)
+
+(** {1 Reporting}
+
+    The [check] subcommand's three renderings of one search. *)
+
+val render :
+  ?rta:(int -> Model.Time.t option) ->
+  props:Props.t list ->
+  por:bool ->
+  bounds:bounds ->
+  Machine.t ->
+  result ->
+  string
+(** The search statistics, the bound that truncated it, and the verdict
+    with its replayed counterexample.  [por:false] notes that the
+    reduction was switched off.  [rta], an RTA bound per RM rank
+    ([Fault.Claims.rta_bound] in the CLI), appends a table of each
+    task's worst observed response against its bound; a task without
+    one prints [no RTA claim]. *)
+
+val to_json : Machine.t -> result -> Util.Json.t
+(** Verdict, search statistics and the worst response per task. *)
+
+val findings : Machine.t -> result -> Lint.Diag.t list
+(** One error naming the violated property, or none. *)

@@ -459,12 +459,12 @@ let test_blocking_rta () =
   let no_blocking = [| 0; 0 |] in
   let heavy = [| ms 9; 0 |] in
   check bool "feasible without blocking" true
-    (Analysis.Blocking.feasible tasks ~blocking:no_blocking);
+    (Analysis.Rta.feasible tasks ~blocking:no_blocking);
   check bool "infeasible with a 9ms blocking term" false
-    (Analysis.Blocking.feasible tasks ~blocking:heavy);
+    (Analysis.Rta.feasible tasks ~blocking:heavy);
   check (option int) "response includes blocking"
     (Some (ms 5))
-    (Analysis.Blocking.response_time ~tasks ~blocking:[| ms 3; 0 |] 0)
+    (Analysis.Rta.response_time ~tasks ~blocking:[| ms 3; 0 |] 0)
 
 (* ------------------------------------------------------------------ *)
 (* Condition variables *)

@@ -501,13 +501,24 @@ let test_dead_branch () =
   check int "identical arms flagged" 1 (List.length (warns diags));
   check int "never as an error (advisory only)" 0
     (count_errors "dead-branch" diags);
-  (* the warning routes into SARIF with its rule id and level *)
-  let sarif = Lint.Sarif.of_diags diags in
+  (* the warning renders into SARIF with its rule id and level *)
+  let results =
+    match Lint.Sarif.log [ ("emeralds-lint", diags) ] with
+    | Util.Json.Obj log -> (
+      match List.assoc "runs" log with
+      | List [ Obj run ] -> (
+        match List.assoc "results" run with List rs -> rs | _ -> [])
+      | _ -> [])
+    | _ -> []
+  in
   check bool "SARIF carries the dead-branch rule" true
     (List.exists
-       (fun (r : Lint.Sarif.result) ->
-         r.rule_id = "dead-branch" && r.level = Lint.Sarif.Warning)
-       sarif);
+       (function
+         | Util.Json.Obj r ->
+           List.assoc_opt "ruleId" r = Some (String "dead-branch")
+           && List.assoc_opt "level" r = Some (String "warning")
+         | _ -> false)
+       results);
   let diags = Lint.Report.run (ctx_of [ [ if_input [] [] ] ]) in
   check int "two empty arms flagged" 1 (List.length (warns diags));
   let diags =

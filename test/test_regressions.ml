@@ -299,9 +299,8 @@ let test_spec_file_name_escaping () =
   in
   let note = { Sim.Trace.at = ms 20; entry = Note task.name } in
   reads_back "perfetto" (Obs.Export.perfetto (Sim.Trace.entries (Kernel.trace k) @ [ note ]));
-  let diag = Lint.Diag.make Info ~check:"hygiene" ~task:1 task.name in
-  reads_back "sarif"
-    (Lint.Sarif.log [ ("emeralds-lint", Lint.Sarif.(in_scenario "spec" (of_diags [ diag ]))) ])
+  let diag = Lint.Diag.make Info ~check:"hygiene" ~scope:"spec" ~task:1 task.name in
+  reads_back "sarif" (Lint.Sarif.log [ ("emeralds-lint", [ diag ]) ])
 
 (* The deadlock message listed the whole blocked-on walk from the
    lowest-index blocked task, so a high-priority bystander that merely
